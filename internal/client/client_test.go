@@ -44,7 +44,7 @@ func serveScript(t *testing.T, conn net.Conn, replySets ...[]wire.Msg) {
 				break
 			}
 		}
-		if _, err := asm.Program(); err != nil {
+		if _, err := asm.Checked(); err != nil {
 			t.Errorf("assembled program invalid: %v", err)
 		}
 		for _, r := range replies {

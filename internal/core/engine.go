@@ -12,8 +12,13 @@ import (
 // N partitioned Systems (the §3.3 per-site architecture). Extracting the
 // interface is what lets the same binaries run single-shard or sharded.
 type Engine interface {
-	// Register adds an execution instance of prog and returns its ID.
+	// Register validates prog and adds an execution instance of it,
+	// returning its ID.
 	Register(prog *txn.Program) (txn.ID, error)
+	// RegisterChecked is Register for a program txn.Check already
+	// validated: it reuses the carried analysis instead of validating
+	// again (the served admission path, see System.RegisterChecked).
+	RegisterChecked(c txn.Checked) (txn.ID, error)
 	// Step executes the next atomic operation of id (see System.Step).
 	Step(id txn.ID) (StepResult, error)
 	// StepBurst executes up to max consecutive atomic operations of id

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -471,42 +472,76 @@ func New(cfg Config) *System {
 }
 
 // Register adds an execution instance of prog and returns its ID. The
-// program must be valid (see txn.Validate); Register re-validates and
+// program must be valid (see txn.Validate); Register validates it and
 // returns an error otherwise.
 func (s *System) Register(prog *txn.Program) (txn.ID, error) {
-	a, err := txn.ValidateAnalyze(prog)
+	c, err := txn.Check(prog)
 	if err != nil {
 		return txn.None, err
 	}
+	return s.RegisterChecked(c)
+}
+
+// RegisterChecked is Register for a program already validated by
+// txn.Check: it reuses the program's analysis instead of validating
+// again. Every locked entity must exist in the store; names are
+// resolved with lookups only, so a rejected registration leaves the
+// interner — and with it the lock table's width — untouched.
+func (s *System) RegisterChecked(c txn.Checked) (txn.ID, error) {
+	prog, a := c.Program(), c.Analysis()
+	if prog == nil {
+		return txn.None, ErrUnchecked
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Resolve the lock set first so execution cannot fail mid-flight on
+	// an undefined entity. Checked per registration (not per plan): the
+	// store's defined set can change via Restore. Validation guarantees
+	// every other entity operand (read, write, unlock) names a lock-set
+	// entity, so resolving the requests resolves them all.
+	for _, r := range a.Requests {
+		if _, ok := s.store.IDOf(r.Entity); !ok {
+			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, r.Entity)
+		}
+	}
 	opEnt := make([]intern.ID, len(prog.Ops))
 	for i, o := range prog.Ops {
 		opEnt[i] = intern.None
 		if o.Entity != "" {
-			opEnt[i] = s.names.Intern(o.Entity)
+			opEnt[i], _ = s.names.Lookup(o.Entity)
 		}
 	}
 	if s.striped {
-		// Cover every entity just interned (op entities can precede
-		// their store definition check below) so the fast paths index
-		// the word table without bounds surprises.
+		// Cover every entity defined since the last registration so the
+		// fast paths index the word table without bounds surprises.
 		s.locks.EnsureEntities(s.names.Len())
 	}
-	s.nextID++
-	s.entry++
-	id := s.nextID
 	t := &tstate{
-		id:       id,
 		prog:     prog,
 		analysis: a,
 		opEnt:    opEnt,
-		entry:    s.entry,
 		status:   StatusRunning,
 		locals:   make([]int64, len(a.InitLocals)),
 		waitEnt:  intern.None,
 	}
 	copy(t.locals, a.InitLocals)
+	// Paged backend: pin the lock set resident now, on the structural
+	// path where IO is allowed, so no later step — including the Tier
+	// A/B fast paths, which never take the exclusive engine lock —
+	// faults a page in. Every engine store access (grant copies, shared
+	// reads, installs) is against a lock-set entity, so pinning here
+	// covers them all.
+	if s.store.Paged() {
+		t.pinned = make([]intern.ID, 0, len(a.Requests))
+		for _, r := range a.Requests {
+			ent := opEnt[r.OpIndex]
+			if err := s.store.PinID(ent); err != nil {
+				s.unpinAll(t)
+				return txn.None, fmt.Errorf("core: program %s pin %q: %w", prog.Name, r.Entity, err)
+			}
+			t.pinned = append(t.pinned, ent)
+		}
+	}
 	switch s.cfg.Strategy {
 	case MCS:
 		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.InitLocals)
@@ -520,37 +555,17 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 		t.hyb = hybrid.New(t.analysis, budget, s.cfg.HybridAllocator)
 		t.sdg = t.hyb.SDG()
 	}
-	// Verify every locked entity exists up front so execution cannot
-	// fail mid-flight on an undefined entity. Checked per registration
-	// (not per plan): the store's defined set can change via Restore.
-	for _, e := range a.LockSet() {
-		if !s.store.Exists(e) {
-			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, e)
-		}
-	}
-	// Paged backend: pin the lock set resident now, on the structural
-	// path where IO is allowed, so no later step — including the Tier
-	// A/B fast paths, which never take the exclusive engine lock —
-	// faults a page in. Every engine store access (grant copies, shared
-	// reads, installs) is against a lock-set entity, so pinning here
-	// covers them all.
-	if s.store.Paged() {
-		lockSet := a.LockSet()
-		t.pinned = make([]intern.ID, 0, len(lockSet))
-		for _, e := range lockSet {
-			ent := s.names.Intern(e)
-			if err := s.store.PinID(ent); err != nil {
-				s.unpinAll(t)
-				return txn.None, fmt.Errorf("core: program %s pin %q: %w", prog.Name, e, err)
-			}
-			t.pinned = append(t.pinned, ent)
-		}
-	}
-	s.txns[id] = t
-	s.wf.AddTxn(id)
-	s.emit(Event{Kind: EventRegister, Txn: id, Detail: prog.Name})
-	return id, nil
+	s.nextID++
+	s.entry++
+	t.id, t.entry = s.nextID, s.entry
+	s.txns[t.id] = t
+	s.wf.AddTxn(t.id)
+	s.emit(Event{Kind: EventRegister, Txn: t.id, Detail: prog.Name})
+	return t.id, nil
 }
+
+// ErrUnchecked rejects the zero txn.Checked, which carries no program.
+var ErrUnchecked = errors.New("core: program was not checked (zero txn.Checked)")
 
 // unpinAll releases every page pin t holds (no-op on the memory
 // backend, where t.pinned is never populated). Called at commit and

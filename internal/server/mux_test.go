@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -482,4 +483,52 @@ func TestMuxRollbackNotifications(t *testing.T) {
 		t.Logf("observed %d rollbacks, %d notifications routed to streams", rb, notes)
 	}
 	shutdownNow(t, srv)
+}
+
+// TestMuxWorkerPoolTracksConcurrency serves 5000 streams, 4 at a time,
+// over one multiplexed connection (run with -race). A worker that
+// finished its stream is reused, so the connection's pool grows to the
+// peak number of concurrent streams, not to the number served: the
+// goroutine count stays within a small constant of its pre-load
+// baseline (the connection's own reader/writer goroutines on both ends
+// plus a handful of workers).
+func TestMuxWorkerPoolTracksConcurrency(t *testing.T) {
+	const streams, concurrent = 5000, 4
+	store := entity.NewUniformStore("e", 2*concurrent, 100)
+	srv := New(Config{Store: store})
+	base := runtime.NumGoroutine()
+
+	m := muxClient(srv, client.MuxConfig{})
+	var wg sync.WaitGroup
+	errCh := make(chan error, concurrent)
+	for g := 0; g < concurrent; g++ {
+		from, to := fmt.Sprintf("e%d", 2*g), fmt.Sprintf("e%d", 2*g+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < streams/concurrent; i++ {
+				if _, err := m.Run(context.Background(), sim.TransferProgram("t", from, to, 1, 0)); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if got := counter(t, srv, "streams_total"); got < streams {
+		t.Fatalf("streams_total = %d, want >= %d", got, streams)
+	}
+	if grown := runtime.NumGoroutine() - base; grown > 16 {
+		t.Fatalf("goroutines grew by %d serving %d streams %d at a time, want <= 16", grown, streams, concurrent)
+	}
+	if err := store.CheckConsistent(); err != nil {
+		t.Error(err)
+	}
+	m.Close()
+	shutdownNow(t, srv)
+	waitGoroutines(t, base)
 }

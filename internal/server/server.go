@@ -94,11 +94,14 @@ type Config struct {
 	// Default 4096.
 	MaxStreams int
 	// StreamWorkers bounds each connection's worker pool executing
-	// tagged streams. Default: MaxStreams — a worker per active stream
-	// at peak, so a blocked transaction never queues behind the lock
-	// holder it is waiting for. Lower values bound per-connection
-	// engine concurrency at the cost of such queueing (resolved by the
-	// request timeout and client retry).
+	// tagged streams. The pool starts a worker only when none is idle
+	// and reuses workers that finished their stream, so it grows to the
+	// peak number of concurrent streams, never past this bound. Default:
+	// MaxStreams — a worker per active stream at peak, so a blocked
+	// transaction never queues behind the lock holder it is waiting
+	// for. Lower values bound per-connection engine concurrency at the
+	// cost of such queueing (resolved by the request timeout and client
+	// retry).
 	StreamWorkers int
 	// StarvationLimit forwards to core.Config.StarvationLimit.
 	StarvationLimit int
@@ -536,7 +539,9 @@ func (s *Server) Owners() map[txn.ID]TxnOwner {
 // main loop), one writer goroutine coalescing replies across every
 // stream, and — once the peer opens v3 tagged streams — a lazily grown,
 // bounded pool of worker goroutines each driving one stream's
-// transaction at a time.
+// transaction at a time. A worker that finishes a stream goes idle and
+// is reused, so the pool tracks the peak number of concurrent streams,
+// not the number of streams served.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -564,10 +569,13 @@ type conn struct {
 	// reply.
 	muxWG sync.WaitGroup
 
-	// streamMu guards the stream table and worker count.
+	// streamMu guards the stream table and the worker counts. idle
+	// counts workers that finished a stream and were not yet handed
+	// another; the dispatcher claims one before it grows the pool.
 	streamMu sync.Mutex
 	streams  map[uint32]bool
 	workers  int
+	idle     int
 }
 
 // outFrame is one queued reply: a message addressed to a stream
@@ -806,9 +814,12 @@ func (s *Server) handleTagged(c *conn, f wire.Frame) (closeConn bool) {
 }
 
 // dispatchStream admits one stream against the per-connection limits
-// and hands it to the worker pool, growing the pool if it is below its
-// bound. A duplicate active stream ID means the two sides disagree
-// about stream state — a desync, so the connection is closed. Hitting
+// and hands it to the worker pool: to an idle worker if there is one,
+// else to a new worker while the pool is below its bound, else (pool
+// full and busy) to the first worker that frees up. A stream therefore
+// queues behind a busy worker only when the pool is at StreamWorkers.
+// A duplicate active stream ID means the two sides disagree about
+// stream state — a desync, so the connection is closed. Hitting
 // MaxStreams is load, not confusion: the stream is refused with the
 // retryable CodeBusy and the connection lives on.
 func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (closeConn bool) {
@@ -825,9 +836,15 @@ func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (close
 		return false
 	}
 	c.streams[sn.stream] = true
-	spawn := c.workers < s.cfg.StreamWorkers
-	if spawn {
+	spawn := false
+	switch {
+	case c.idle > 0:
+		// Claimed: that worker's next receive takes a task (possibly
+		// this one), so no stream waits on a busy worker.
+		c.idle--
+	case c.workers < s.cfg.StreamWorkers:
 		c.workers++
+		spawn = true
 	}
 	c.streamMu.Unlock()
 	s.streamsTotal.Add(1)
@@ -840,10 +857,16 @@ func (s *Server) dispatchStream(c *conn, sn sender, bp wire.BeginProgram) (close
 	return false
 }
 
+// worker serves streams until the reader closes tasks. After each
+// stream it counts itself idle, so the dispatcher reuses it — with the
+// stack it has already grown — instead of starting another goroutine.
 func (c *conn) worker() {
 	defer c.muxWG.Done()
 	for t := range c.tasks {
 		c.srv.serveStream(t.sn, t.bp)
+		c.streamMu.Lock()
+		c.idle++
+		c.streamMu.Unlock()
 	}
 }
 
@@ -862,7 +885,7 @@ func (s *Server) serveStream(sn sender, bp wire.BeginProgram) {
 		sn.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
 		return
 	}
-	prog, err := bp.Program()
+	prog, err := bp.Checked()
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return
@@ -908,7 +931,7 @@ func (s *Server) handleTxn(c *conn, begin wire.Begin) (closeConn bool) {
 		un.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
 		return true
 	}
-	prog, err := asm.Program()
+	prog, err := asm.Checked()
 	if err != nil {
 		// The message stream was well-formed; only the program was
 		// invalid. The session may submit further transactions.
@@ -925,7 +948,7 @@ func (s *Server) handleProgram(sn sender, bp wire.BeginProgram) (closeConn bool)
 		sn.send(wire.Error{Code: wire.CodeShutdown, Msg: "server shutting down"})
 		return true
 	}
-	prog, err := bp.Program()
+	prog, err := bp.Checked()
 	if err != nil {
 		// The frame was well-formed; only the program was invalid. The
 		// session may submit further transactions.
@@ -937,9 +960,10 @@ func (s *Server) handleProgram(sn sender, bp wire.BeginProgram) (closeConn bool)
 
 // execTxn registers prog, drives it to commit with the shared
 // re-execution loop, and sends the verdict to sn. Shared by the v1
-// per-message, v2 whole-frame, and v3 stream paths.
-func (s *Server) execTxn(sn sender, prog *txn.Program) (closeConn bool) {
-	id, err := s.sys.Register(prog)
+// per-message, v2 whole-frame, and v3 stream paths, each of which
+// validated the program once while decoding it.
+func (s *Server) execTxn(sn sender, prog txn.Checked) (closeConn bool) {
+	id, err := s.sys.RegisterChecked(prog)
 	if err != nil {
 		sn.send(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
 		return false

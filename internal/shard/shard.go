@@ -61,7 +61,7 @@ type binding struct {
 
 // tmeta is the engine's routing metadata for one transaction.
 type tmeta struct {
-	prog    *txn.Program
+	prog    txn.Checked
 	lockSet []string
 	state   claimState
 	shard   int
@@ -83,7 +83,7 @@ type pin struct {
 type admission struct {
 	gid   txn.ID
 	shard int
-	prog  *txn.Program
+	prog  txn.Checked
 }
 
 // Engine is a sharded core.Engine over N core.System instances sharing
@@ -270,16 +270,29 @@ func remapReport(m map[txn.ID]txn.ID, r *core.DeadlockReport) *core.DeadlockRepo
 // report StatusWaiting and become runnable when an EventAdmit is
 // emitted for them.
 func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
-	a, err := txn.ValidateAnalyze(prog)
+	c, err := txn.Check(prog)
 	if err != nil {
 		return txn.None, err
 	}
-	lockSet := a.LockSet()
-	for _, ent := range lockSet {
-		if !e.store.Exists(ent) {
-			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, ent)
+	return e.RegisterChecked(c)
+}
+
+// RegisterChecked is Register for a program txn.Check already
+// validated; the shard registration reuses the same analysis, so the
+// program is validated exactly once on its way into the engine.
+func (e *Engine) RegisterChecked(c txn.Checked) (txn.ID, error) {
+	prog, a := c.Program(), c.Analysis()
+	if prog == nil {
+		return txn.None, core.ErrUnchecked
+	}
+	// Existence is resolved by lookup only (IDOf never interns), so a
+	// rejected registration leaves the shared interner untouched.
+	for _, r := range a.Requests {
+		if _, ok := e.store.IDOf(r.Entity); !ok {
+			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, r.Entity)
 		}
 	}
+	lockSet := a.LockSet()
 
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
@@ -287,7 +300,7 @@ func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
 	e.mu.Lock()
 	e.nextID++
 	gid := e.nextID
-	m := &tmeta{prog: prog, lockSet: lockSet, state: statePending}
+	m := &tmeta{prog: c, lockSet: lockSet, state: statePending}
 	e.meta[gid] = m
 	target, placeable := -1, false
 	if !e.fencedLocked(lockSet, e.queue) {
@@ -303,11 +316,11 @@ func (e *Engine) Register(prog *txn.Program) (txn.ID, error) {
 	e.mu.Unlock()
 
 	if placeable {
-		lid, err := e.shards[target].Register(prog)
+		lid, err := e.shards[target].RegisterChecked(c)
 		if err != nil {
 			// Cannot happen in practice: the program was validated and
 			// its lock set existence-checked above, which is everything
-			// System.Register verifies. Undo the routing state anyway.
+			// System.RegisterChecked verifies. Undo the routing state anyway.
 			e.mu.Lock()
 			e.unpinLocked(lockSet)
 			delete(e.meta, gid)
@@ -488,7 +501,7 @@ func (e *Engine) admitLocked() []admission {
 // their EventAdmit. Caller holds regMu (and not mu).
 func (e *Engine) place(admitted []admission) {
 	for _, a := range admitted {
-		lid, err := e.shards[a.shard].Register(a.prog)
+		lid, err := e.shards[a.shard].RegisterChecked(a.prog)
 		if err != nil {
 			// The claim was validated and existence-checked when it was
 			// first registered, and entities are never removed from the
@@ -496,7 +509,7 @@ func (e *Engine) place(admitted []admission) {
 			panic(fmt.Sprintf("shard: admitting %v failed: %v", a.gid, err))
 		}
 		e.bind(a.gid, a.shard, lid)
-		e.emit(core.Event{Kind: core.EventAdmit, Txn: a.gid, Detail: a.prog.Name})
+		e.emit(core.Event{Kind: core.EventAdmit, Txn: a.gid, Detail: a.prog.Program().Name})
 	}
 }
 
@@ -635,7 +648,7 @@ func (e *Engine) Abort(id txn.ID) error {
 		e.mu.Unlock()
 		e.place(admitted)
 		e.regMu.Unlock()
-		e.emit(core.Event{Kind: core.EventAbort, Txn: id, Detail: m.prog.Name})
+		e.emit(core.Event{Kind: core.EventAbort, Txn: id, Detail: m.prog.Program().Name})
 		return nil
 	}
 }
@@ -671,8 +684,9 @@ func (e *Engine) Locals(id txn.ID) (map[string]int64, error) {
 	if !known {
 		return nil, fmt.Errorf("core: unknown transaction %v", id)
 	}
-	out := make(map[string]int64, len(m.prog.Locals))
-	for k, v := range m.prog.Locals {
+	locals := m.prog.Program().Locals
+	out := make(map[string]int64, len(locals))
+	for k, v := range locals {
 		out[k] = v
 	}
 	return out, nil
@@ -876,7 +890,7 @@ func (e *Engine) Queued() []QueuedClaim {
 	defer e.mu.Unlock()
 	out := make([]QueuedClaim, 0, len(e.queue))
 	for i, gid := range e.queue {
-		out = append(out, QueuedClaim{Txn: gid, Program: e.meta[gid].prog.Name, Position: i})
+		out = append(out, QueuedClaim{Txn: gid, Program: e.meta[gid].prog.Program().Name, Position: i})
 	}
 	return out
 }

@@ -484,3 +484,39 @@ func TestQueuedInspection(t *testing.T) {
 	driveToCommit(t, e, t2)
 	driveToCommit(t, e, t3)
 }
+
+// TestRejectedRegistrationsLeaveInternerUnchanged is the sharded twin
+// of the core test: programs locking undefined names are refused at
+// placement, by lookup only, so the shared interner never grows.
+func TestRejectedRegistrationsLeaveInternerUnchanged(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 0})
+	e := New(4, core.Config{Store: store, Strategy: core.MCS, Stripes: 4})
+	before := store.Interner().Len()
+	for i := 0; i < 1000; i++ {
+		if _, err := e.Register(bump("ghost", "a", fmt.Sprintf("ghost%d", i))); err == nil {
+			t.Fatalf("program locking ghost%d registered", i)
+		}
+	}
+	if got := store.Interner().Len(); got != before {
+		t.Fatalf("interner grew from %d to %d names on rejected registrations", before, got)
+	}
+	if _, err := e.RegisterChecked(txn.Checked{}); !errors.Is(err, core.ErrUnchecked) {
+		t.Fatalf("RegisterChecked(zero) = %v, want core.ErrUnchecked", err)
+	}
+	id := e.MustRegister(bump("ok", "a"))
+	for {
+		res, err := e.Step(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome == core.Committed {
+			break
+		}
+	}
+	if got := store.MustGet("a"); got != 1 {
+		t.Fatalf("a = %d after one increment, want 1", got)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -61,6 +61,34 @@ type Analysis struct {
 	OpTarget []string
 }
 
+// Checked is a program that passed validation, paired with the Analysis
+// the same ValidateAnalyze call computed for it. Only this package
+// constructs one (Check, Builder.BuildChecked), so an engine handed a
+// Checked can register it without validating again and can never see an
+// analysis of a different program. The zero value holds no program.
+// Like every Program, the checked one must not be mutated.
+type Checked struct {
+	prog     *Program
+	analysis *Analysis
+}
+
+// Check validates p and returns it paired with its Analysis, from one
+// ValidateAnalyze traversal.
+func Check(p *Program) (Checked, error) {
+	a, err := ValidateAnalyze(p)
+	if err != nil {
+		return Checked{}, err
+	}
+	return Checked{prog: p, analysis: a}, nil
+}
+
+// Program returns the checked program (nil for the zero Checked).
+func (c Checked) Program() *Program { return c.prog }
+
+// Analysis returns the program's static analysis (nil for the zero
+// Checked).
+func (c Checked) Analysis() *Analysis { return c.analysis }
+
 // Analyze computes the static Analysis for p. The program is assumed
 // valid (see Validate); on an invalid program the returned analysis is
 // best-effort. It is a thin wrapper over ValidateAnalyze.

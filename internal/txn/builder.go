@@ -78,17 +78,21 @@ func (b *Builder) op(o Op) *Builder {
 // Build validates and returns the program. A terminating Commit is
 // appended if the program does not already end with one.
 func (b *Builder) Build() (*Program, error) {
+	c, err := b.BuildChecked()
+	return c.Program(), err
+}
+
+// BuildChecked is Build that also returns the program's Analysis,
+// computed by the same single validation pass.
+func (b *Builder) BuildChecked() (Checked, error) {
 	p := b.p
 	if n := len(p.Ops); n == 0 || p.Ops[n-1].Kind != OpCommit {
 		p.Ops = append(p.Ops, Op{Kind: OpCommit})
 	}
 	if len(b.errs) > 0 {
-		return nil, b.errs[0]
+		return Checked{}, b.errs[0]
 	}
-	if err := Validate(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return Check(p)
 }
 
 // MustBuild is Build that panics on error; for tests and fixed figures.

@@ -1128,16 +1128,23 @@ func ProgramFrame(p *txn.Program) (BeginProgram, error) {
 // §2 static rules apply; a missing trailing Commit is appended exactly
 // as txn.Builder.Build would.
 func (bp BeginProgram) Program() (*txn.Program, error) {
+	c, err := bp.Checked()
+	return c.Program(), err
+}
+
+// Checked is Program that also returns the program's analysis from the
+// same validation pass, ready for core.Engine.RegisterChecked.
+func (bp BeginProgram) Checked() (txn.Checked, error) {
 	if len(bp.Locals) > MaxLocals {
-		return nil, protoErr("%d locals exceeds %d", len(bp.Locals), MaxLocals)
+		return txn.Checked{}, protoErr("%d locals exceeds %d", len(bp.Locals), MaxLocals)
 	}
 	if len(bp.Ops) > MaxOps {
-		return nil, protoErr("program exceeds %d operations", MaxOps)
+		return txn.Checked{}, protoErr("program exceeds %d operations", MaxOps)
 	}
 	p := &txn.Program{Name: bp.Name, Locals: make(map[string]int64, len(bp.Locals))}
 	for _, l := range bp.Locals {
 		if _, dup := p.Locals[l.Name]; dup {
-			return nil, fmt.Errorf("txn %s: local %q declared twice", bp.Name, l.Name)
+			return txn.Checked{}, fmt.Errorf("txn %s: local %q declared twice", bp.Name, l.Name)
 		}
 		p.Locals[l.Name] = l.Val
 	}
@@ -1146,14 +1153,11 @@ func (bp BeginProgram) Program() (*txn.Program, error) {
 	if n := len(p.Ops); n == 0 || p.Ops[n-1].Kind != txn.OpCommit {
 		p.Ops = append(p.Ops, txn.Op{Kind: txn.OpCommit})
 	}
-	if err := txn.Validate(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return txn.Check(p)
 }
 
 // Assembler rebuilds a transaction program from its protocol messages.
-// Feed returns done=true when Commit arrives; Program then returns the
+// Feed returns done=true when Commit arrives; Checked then returns the
 // validated program.
 type Assembler struct {
 	b    *txn.Builder
@@ -1215,14 +1219,16 @@ func (a *Assembler) Feed(m Msg) (done bool, err error) {
 	return false, nil
 }
 
-// Program validates and returns the assembled program. It fails before
-// Commit has been fed or when the program violates the §2 static rules.
-func (a *Assembler) Program() (*txn.Program, error) {
+// Checked validates the assembled program and returns it with its
+// analysis from that one validation pass, ready for
+// core.Engine.RegisterChecked. It fails before Commit has been fed or
+// when the program violates the §2 static rules.
+func (a *Assembler) Checked() (txn.Checked, error) {
 	if a.err != nil {
-		return nil, a.err
+		return txn.Checked{}, a.err
 	}
 	if !a.done {
-		return nil, protoErr("program not committed")
+		return txn.Checked{}, protoErr("program not committed")
 	}
-	return a.b.Build()
+	return a.b.BuildChecked()
 }

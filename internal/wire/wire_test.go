@@ -104,11 +104,11 @@ func TestProgramRoundTrip(t *testing.T) {
 				t.Fatalf("%s msg %d: done=%v", p.Name, i, done)
 			}
 		}
-		got, err := a.Program()
+		c, err := a.Checked()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		if !reflect.DeepEqual(got, p) {
+		if got := c.Program(); !reflect.DeepEqual(got, p) {
 			t.Errorf("%s: program round trip mismatch:\n got %v\nwant %v", p.Name, got, p)
 		}
 	}
@@ -259,7 +259,7 @@ func TestAssemblerRejectsInvalid(t *testing.T) {
 			t.Fatalf("feed: %v", err)
 		}
 	}
-	if _, err := a.Program(); err == nil {
+	if _, err := a.Checked(); err == nil {
 		t.Error("invalid program assembled without error")
 	}
 
@@ -271,7 +271,7 @@ func TestAssemblerRejectsInvalid(t *testing.T) {
 
 	// Incomplete program.
 	a = NewAssembler(Begin{Name: "bad3"})
-	if _, err := a.Program(); !errors.Is(err, ErrProtocol) {
+	if _, err := a.Checked(); !errors.Is(err, ErrProtocol) {
 		t.Error("assembling before Commit should fail")
 	}
 }
