@@ -100,7 +100,7 @@ func figure4() {
 		p := figures.Figure4T(variant.prog)
 		a := txn.Analyze(p)
 		var ivs [][2]int
-		for _, idxs := range a.WriteLockIndexes {
+		for _, idxs := range a.WriteLockIndexes() {
 			if len(idxs) > 1 {
 				ivs = append(ivs, [2]int{idxs[0], idxs[len(idxs)-1]})
 			}
@@ -131,7 +131,7 @@ func figure5() {
 			}
 		}
 		var ivs [][2]int
-		for _, idxs := range a.WriteLockIndexes {
+		for _, idxs := range a.WriteLockIndexes() {
 			if len(idxs) > 1 {
 				ivs = append(ivs, [2]int{idxs[0], idxs[len(idxs)-1]})
 			}

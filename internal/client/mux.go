@@ -141,9 +141,9 @@ func (m *Mux) ensure() (net.Conn, int64, error) {
 // reading the socket. Replies are routed to their stream's endpoint;
 // a read failure fails every stream of this epoch.
 func (m *Mux) readLoop(nc net.Conn, ep int64) {
-	br := bufio.NewReader(nc)
+	rd := wire.NewReader(bufio.NewReader(nc))
 	for {
-		f, _, err := wire.ReadFrame(br)
+		f, _, err := rd.ReadFrame()
 		if err != nil {
 			m.teardown(nc, ep, err)
 			return

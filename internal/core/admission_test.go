@@ -63,3 +63,60 @@ func TestRegisterCheckedReusesAnalysis(t *testing.T) {
 		t.Fatalf("RegisterChecked(zero) = %v, want ErrUnchecked", err)
 	}
 }
+
+// TestRetireMatchesInspection pins Retire to the three calls it
+// replaces: the same counters as TxnStatsOf, the same locals as Locals
+// (in LocalNames order), and the transaction forgotten — and before
+// commit, an error that forgets nothing.
+func TestRetireMatchesInspection(t *testing.T) {
+	store := entity.NewStore(map[string]int64{"a": 5, "b": 7})
+	s := New(Config{Store: store, Strategy: MCS})
+	c, err := txn.Check(txn.NewProgram("t").Local("y", 1).Local("x", 0).
+		LockX("a").Read("a", "x").LockS("b").Read("b", "y").MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.RegisterChecked(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Retire(id, nil); err == nil {
+		t.Fatal("Retire of a running transaction succeeded")
+	}
+	for {
+		res, err := s.Step(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Outcome == Committed {
+			break
+		}
+	}
+	wantStats := s.TxnStatsOf(id)
+	locals, err := s.Locals(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, vals, err := s.Retire(id, []int64{-1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != wantStats {
+		t.Fatalf("Retire stats = %+v, want %+v", st, wantStats)
+	}
+	names := c.Analysis().LocalNames
+	if len(vals) != 1+len(names) || vals[0] != -1 {
+		t.Fatalf("Retire locals = %v, want [-1] followed by %d values", vals, len(names))
+	}
+	for i, name := range names {
+		if vals[1+i] != locals[name] {
+			t.Fatalf("Retire local %s = %d, want %d", name, vals[1+i], locals[name])
+		}
+	}
+	if _, err := s.Status(id); err == nil {
+		t.Fatal("retired transaction still registered")
+	}
+	if _, _, err := s.Retire(id, nil); err == nil {
+		t.Fatal("second Retire succeeded")
+	}
+}

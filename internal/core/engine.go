@@ -34,6 +34,11 @@ type Engine interface {
 	Abort(id txn.ID) error
 	// Forget removes a committed transaction's bookkeeping.
 	Forget(id txn.ID) error
+	// Retire returns a committed transaction's counters, appends its
+	// final local values to locals in slot order (its analysis'
+	// LocalNames order), and forgets it, in one call (see
+	// System.Retire). It fails, forgetting nothing, before commit.
+	Retire(id txn.ID, locals []int64) (TxnStats, []int64, error)
 	// Locals returns a copy of id's current local-variable values.
 	Locals(id txn.ID) (map[string]int64, error)
 	// TxnStatsOf returns a snapshot of id's counters.

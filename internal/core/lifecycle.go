@@ -75,3 +75,23 @@ func (s *System) Forget(id txn.ID) error {
 	delete(s.txns, id)
 	return nil
 }
+
+// Retire is the serving layer's one engine call per committed
+// transaction: it returns id's counters and appends its final local
+// values to locals in slot order (the order of the program analysis'
+// LocalNames), then forgets id — TxnStatsOf, Locals and Forget under a
+// single engine-lock acquisition, with no map built. It fails, and
+// forgets nothing, for transactions that have not committed.
+func (s *System) Retire(id txn.ID, locals []int64) (TxnStats, []int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, err := s.get(id)
+	if err != nil {
+		return TxnStats{}, locals, err
+	}
+	if t.status != StatusCommitted {
+		return TxnStats{}, locals, fmt.Errorf("core: cannot retire %v: status %v", id, t.status)
+	}
+	delete(s.txns, id)
+	return t.stats, append(locals, t.locals...), nil
+}

@@ -174,38 +174,63 @@ func (s *System) resolveDeadlock(requester *tstate, entityName string, cycles []
 			return report, fmt.Errorf("core: policy %q left a cycle unbroken: %v", s.policy.Name(), left[0])
 		}
 	}
-	if err := s.escalateStarvation(cycles); err != nil {
+	if err := s.escalateStarvation(requester.id, cycles, victims); err != nil {
 		return report, err
 	}
 	return report, nil
 }
 
-// escalateStarvation ages the waits of deadlock participants: a
-// participant still waiting after StarvationLimit resolutions of
-// deadlocks it was part of gets wound-wait treatment — every
+// escalateStarvation ages the waits a deadlock resolution did not
+// help: those of participants still waiting and, when the requester
+// backed itself off, those of older transactions queued on an entity it
+// kept (locked before its rollback target). A wait still unserved after
+// StarvationLimit such resolutions gets wound-wait treatment — every
 // strictly-younger holder of its awaited entity is partially rolled
 // back to release it. Minimal cycle-breaking alone can otherwise starve
-// an old waiter indefinitely: each resolution frees only one of several
-// holds (e.g. one of two shared locks) and the ring re-forms.
-func (s *System) escalateStarvation(cycles [][]txn.ID) error {
+// an old waiter indefinitely:
+//   - each resolution frees only one of several holds (e.g. one of two
+//     shared locks) and the ring re-forms;
+//   - a requester backs off just past a shared lock whose other holders
+//     keep its exclusive waiter blocked, re-acquires it at once and
+//     closes the same cycle again, round after round, while an older
+//     transaction waits outside the cycle on a lock the requester never
+//     gives up (TestSharedBackoffLivelockEscalates).
+func (s *System) escalateStarvation(requester txn.ID, cycles [][]txn.ID, victims []deadlock.Victim) error {
 	if s.cfg.StarvationLimit < 0 {
 		return nil
 	}
 	seen := map[txn.ID]bool{}
 	var starved []*tstate
+	age := func(id txn.ID) {
+		if seen[id] {
+			return
+		}
+		seen[id] = true
+		t, ok := s.txns[id]
+		if !ok || t.status != StatusWaiting {
+			return
+		}
+		t.starveRounds++
+		if t.starveRounds >= s.cfg.StarvationLimit {
+			starved = append(starved, t)
+		}
+	}
 	for _, c := range cycles {
 		for _, id := range c {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			t, ok := s.txns[id]
-			if !ok || t.status != StatusWaiting {
-				continue
-			}
-			t.starveRounds++
-			if t.starveRounds >= s.cfg.StarvationLimit {
-				starved = append(starved, t)
+			age(id)
+		}
+	}
+	for _, v := range victims {
+		t, ok := s.txns[v.Txn]
+		if !ok || v.Txn != requester {
+			continue
+		}
+		for i := range t.slots {
+			s.queueBuf = s.locks.QueueAppend(t.slots[i].ent, s.queueBuf[:0])
+			for _, w := range s.queueBuf {
+				if wt, ok := s.txns[w.Txn]; ok && wt.entry < t.entry {
+					age(w.Txn)
+				}
 			}
 		}
 	}

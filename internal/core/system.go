@@ -280,6 +280,9 @@ type tstate struct {
 	mcs *mcs.Copies
 	sdg *sdg.Graph
 	hyb *hybrid.State
+	// opTarget is the analysis' OpTargets, derived at registration for
+	// the single-copy strategies (SDG, Hybrid) only; nil otherwise.
+	opTarget []string
 
 	stats TxnStats
 }
@@ -486,29 +489,34 @@ func (s *System) Register(prog *txn.Program) (txn.ID, error) {
 // txn.Check: it reuses the program's analysis instead of validating
 // again. Every locked entity must exist in the store; names are
 // resolved with lookups only, so a rejected registration leaves the
-// interner — and with it the lock table's width — untouched.
+// interner — and with it the lock table's width — untouched, and it
+// consumes no transaction ID.
+//
+// Only the steps that must be atomic with the engine run under its
+// lock: the defined-entity check (by ID), the striped table's width,
+// page pins, ID and entry assignment, and insertion into the active
+// set and the concurrency graph. Everything that depends only on the
+// program — entity resolution through the concurrent-safe interner, the
+// per-op entity plan, the locals and the strategy's rollback state — is
+// built before the lock is taken (see prepare).
 func (s *System) RegisterChecked(c txn.Checked) (txn.ID, error) {
 	prog, a := c.Program(), c.Analysis()
 	if prog == nil {
 		return txn.None, ErrUnchecked
 	}
+	t := s.prepare(prog, a)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Resolve the lock set first so execution cannot fail mid-flight on
+	// Check the lock set first so execution cannot fail mid-flight on
 	// an undefined entity. Checked per registration (not per plan): the
 	// store's defined set can change via Restore. Validation guarantees
 	// every other entity operand (read, write, unlock) names a lock-set
-	// entity, so resolving the requests resolves them all.
+	// entity, so checking the requests checks them all. A name the
+	// interner never saw resolved to intern.None, which reads as
+	// undefined.
 	for _, r := range a.Requests {
-		if _, ok := s.store.IDOf(r.Entity); !ok {
+		if _, ok := s.store.GetID(t.opEnt[r.OpIndex]); !ok {
 			return txn.None, fmt.Errorf("core: program %s locks undefined entity %q", prog.Name, r.Entity)
-		}
-	}
-	opEnt := make([]intern.ID, len(prog.Ops))
-	for i, o := range prog.Ops {
-		opEnt[i] = intern.None
-		if o.Entity != "" {
-			opEnt[i], _ = s.names.Lookup(o.Entity)
 		}
 	}
 	if s.striped {
@@ -516,15 +524,6 @@ func (s *System) RegisterChecked(c txn.Checked) (txn.ID, error) {
 		// fast paths index the word table without bounds surprises.
 		s.locks.EnsureEntities(s.names.Len())
 	}
-	t := &tstate{
-		prog:     prog,
-		analysis: a,
-		opEnt:    opEnt,
-		status:   StatusRunning,
-		locals:   make([]int64, len(a.InitLocals)),
-		waitEnt:  intern.None,
-	}
-	copy(t.locals, a.InitLocals)
 	// Paged backend: pin the lock set resident now, on the structural
 	// path where IO is allowed, so no later step — including the Tier
 	// A/B fast paths, which never take the exclusive engine lock —
@@ -532,28 +531,14 @@ func (s *System) RegisterChecked(c txn.Checked) (txn.ID, error) {
 	// reads, installs) is against a lock-set entity, so pinning here
 	// covers them all.
 	if s.store.Paged() {
-		t.pinned = make([]intern.ID, 0, len(a.Requests))
 		for _, r := range a.Requests {
-			ent := opEnt[r.OpIndex]
+			ent := t.opEnt[r.OpIndex]
 			if err := s.store.PinID(ent); err != nil {
 				s.unpinAll(t)
 				return txn.None, fmt.Errorf("core: program %s pin %q: %w", prog.Name, r.Entity, err)
 			}
 			t.pinned = append(t.pinned, ent)
 		}
-	}
-	switch s.cfg.Strategy {
-	case MCS:
-		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.InitLocals)
-	case SDG:
-		t.sdg = sdg.New()
-	case Hybrid:
-		budget := s.cfg.HybridBudget
-		if budget < 0 {
-			budget = 0
-		}
-		t.hyb = hybrid.New(t.analysis, budget, s.cfg.HybridAllocator)
-		t.sdg = t.hyb.SDG()
 	}
 	s.nextID++
 	s.entry++
@@ -562,6 +547,70 @@ func (s *System) RegisterChecked(c txn.Checked) (txn.ID, error) {
 	s.wf.AddTxn(t.id)
 	s.emit(Event{Kind: EventRegister, Txn: t.id, Detail: prog.Name})
 	return t.id, nil
+}
+
+// prepare builds the transaction state RegisterChecked installs, from
+// the program, its analysis and the interner alone — no engine state —
+// so it runs before the engine lock is taken. Lock-request entities
+// the interner has never seen resolve to intern.None; the locked check
+// rejects them (a name that was never interned was never defined).
+func (s *System) prepare(prog *txn.Program, a *txn.Analysis) *tstate {
+	opEnt := make([]intern.ID, len(prog.Ops))
+	for i := range opEnt {
+		opEnt[i] = intern.None
+	}
+	for _, r := range a.Requests {
+		if ent, ok := s.names.Lookup(r.Entity); ok {
+			opEnt[r.OpIndex] = ent
+		}
+	}
+	// Every other entity operand names a lock-set entity (validation),
+	// so it takes its request's ID: a short scan instead of another
+	// interner lookup per operand.
+	for i := range prog.Ops {
+		o := &prog.Ops[i]
+		if o.Entity == "" || o.Kind.IsLockRequest() {
+			continue
+		}
+		for _, r := range a.Requests {
+			if r.Entity == o.Entity {
+				opEnt[i] = opEnt[r.OpIndex]
+				break
+			}
+		}
+	}
+	// Held slots and lock-state records are bounded by the request
+	// count, so both are sized once here instead of grown per grant.
+	t := &tstate{
+		prog:       prog,
+		analysis:   a,
+		opEnt:      opEnt,
+		status:     StatusRunning,
+		locals:     make([]int64, len(a.InitLocals)),
+		slots:      make([]lockSlot, 0, len(a.Requests)),
+		lockStates: make([]lockStateRec, 0, len(a.Requests)),
+		waitEnt:    intern.None,
+	}
+	copy(t.locals, a.InitLocals)
+	if s.store.Paged() {
+		t.pinned = make([]intern.ID, 0, len(a.Requests))
+	}
+	switch s.cfg.Strategy {
+	case MCS:
+		t.mcs = mcs.NewSlots(s.names, a.LocalNames, a.LocalSlot, a.InitLocals, len(a.Requests))
+	case SDG:
+		t.sdg = sdg.New()
+		t.opTarget = a.OpTargets()
+	case Hybrid:
+		budget := s.cfg.HybridBudget
+		if budget < 0 {
+			budget = 0
+		}
+		t.hyb = hybrid.New(a, budget, s.cfg.HybridAllocator)
+		t.sdg = t.hyb.SDG()
+		t.opTarget = a.OpTargets()
+	}
+	return t
 }
 
 // ErrUnchecked rejects the zero txn.Checked, which carries no program.

@@ -108,7 +108,7 @@ func articulationWellDefined(p *txn.Program) (bool, error) {
 			g.AddEdge(q-1, q)
 		}
 	}
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range a.WriteLockIndexes() {
 		if len(idxs) > 1 {
 			lo := idxs[0] - 1
 			if lo < 0 {

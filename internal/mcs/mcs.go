@@ -62,6 +62,9 @@ type Copies struct {
 	// lockIndex is the number of lock requests the transaction has
 	// executed; writes occurring now have this lock index.
 	lockIndex int
+	// locks is the program's lock-request count (0 if unknown), which
+	// sizes new entity stacks.
+	locks int
 	// Incremental element counts and their high-water marks.
 	entityElems     int
 	localElems      int
@@ -78,32 +81,62 @@ func New(locals map[string]int64) *Copies {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	slot := make(map[string]int, len(names))
 	inits := make([]int64, len(names))
 	for i, n := range names {
+		slot[n] = i
 		inits[i] = locals[n]
 	}
-	return NewSlots(intern.NewTable(), names, inits)
+	return NewSlots(intern.NewTable(), names, slot, inits, 0)
 }
 
 // NewSlots returns MCS state with entity names interned through names
 // (normally the store's shared interner) and locals pre-resolved to
-// slots: localNames[s] has initial value inits[s]. This is the
-// constructor the engine's hot path uses.
-func NewSlots(names *intern.Table, localNames []string, inits []int64) *Copies {
+// slots: localNames[s] has initial value inits[s], and localSlot is the
+// inverse of localNames. This is the constructor the engine's hot path
+// uses: it shares localNames and localSlot (normally a txn.Analysis'
+// LocalNames and LocalSlot), which it never modifies, and holds every
+// local's stack in one backing array.
+//
+// locks is the program's number of lock requests n, or 0 if unknown.
+// With it the stacks are sized to their deepest possible extent up
+// front — n+1 elements per local (its initial value plus one per lock
+// interval), n-k+1 for the entity locked at lock index k — so writes
+// never reallocate, as long as the locals' share stays within
+// maxPresized elements.
+func NewSlots(names *intern.Table, localNames []string, localSlot map[string]int, inits []int64, locks int) *Copies {
 	c := &Copies{
 		names:       names,
 		localStacks: make([][]elem, len(localNames)),
 		localNames:  localNames,
-		localSlot:   make(map[string]int, len(localNames)),
+		localSlot:   localSlot,
+		locks:       locks,
 	}
-	for s, n := range localNames {
-		c.localSlot[n] = s
-		c.localStacks[s] = []elem{{value: inits[s], lockIndex: 0}}
-		c.localElems++
+	if locks > 0 {
+		c.entStacks = make([]entStack, 0, locks)
 	}
+	per := locks + 1
+	if len(localNames)*per > maxPresized {
+		per = 1
+	}
+	backing := make([]elem, len(localNames)*per)
+	for s := range localNames {
+		// Each stack owns per elements of the backing array; one that
+		// outgrows them moves to its own array instead of overwriting
+		// its neighbour's.
+		stack := backing[s*per : s*per+1 : (s+1)*per]
+		stack[0] = elem{value: inits[s], lockIndex: 0}
+		c.localStacks[s] = stack
+	}
+	c.localElems = len(localNames)
 	c.notePeaks()
 	return c
 }
+
+// maxPresized caps the local stack elements NewSlots allocates up
+// front (16 bytes each), so a program with many locals and locks
+// falls back to stacks that grow on demand.
+const maxPresized = 512
 
 func (c *Copies) notePeaks() {
 	if c.entityElems > c.peakEntityElems {
@@ -123,11 +156,17 @@ func (c *Copies) findEnt(ent intern.ID) *entStack {
 	return nil
 }
 
+// getElems returns an empty element slice for a new entity stack: a
+// pooled one if any, else one sized to the stack's deepest extent
+// (locks-lockIndex+1 elements) when the lock count is known.
 func (c *Copies) getElems() []elem {
 	if k := len(c.freeElems); k > 0 {
 		e := c.freeElems[k-1]
 		c.freeElems = c.freeElems[:k-1]
 		return e
+	}
+	if c.locks > c.lockIndex {
+		return make([]elem, 0, c.locks-c.lockIndex+1)
 	}
 	return nil
 }

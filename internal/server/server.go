@@ -549,11 +549,13 @@ type conn struct {
 	id int64
 	// addr is the remote address, captured at accept time.
 	addr string
-	// br buffers the connection's read side. Clients flush a whole
-	// transaction's message sequence in one write, so buffering turns
-	// the ~2 read syscalls per message into ~2 per transaction; all
-	// reads must go through br (buffered bytes are invisible to nc).
-	br *bufio.Reader
+	// rd reads the connection's frames through a buffered reader.
+	// Clients flush a whole transaction's message sequence in one
+	// write, so buffering turns the ~2 read syscalls per message into
+	// ~2 per transaction; all reads must go through rd (buffered bytes
+	// are invisible to nc). rd reuses one payload buffer for every
+	// frame.
+	rd *wire.Reader
 
 	outMu     sync.Mutex
 	out       chan outFrame
@@ -666,7 +668,7 @@ func (s *Server) runSession(nc net.Conn) {
 		nc:      nc,
 		id:      connID,
 		addr:    nc.RemoteAddr().String(),
-		br:      bufio.NewReader(nc),
+		rd:      wire.NewReader(bufio.NewReader(nc)),
 		out:     make(chan outFrame, 128),
 		tasks:   make(chan streamTask, streamTaskBuf),
 		streams: map[uint32]bool{},
@@ -754,7 +756,7 @@ func (s *Server) runSession(nc net.Conn) {
 			return
 		}
 		_ = nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		f, n, err := wire.ReadFrame(c.br)
+		f, n, err := c.rd.ReadFrame()
 		s.bytesIn.Add(int64(n))
 		if err != nil {
 			// Idle sessions (between transactions) are closed without
@@ -903,7 +905,7 @@ func (s *Server) handleTxn(c *conn, begin wire.Begin) (closeConn bool) {
 	asm := wire.NewAssembler(begin)
 	for {
 		_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		m, n, err := wire.ReadMsg(c.br)
+		m, n, err := c.rd.ReadMsg()
 		s.bytesIn.Add(int64(n))
 		if err != nil {
 			if errors.Is(err, wire.ErrProtocol) {
@@ -985,10 +987,10 @@ func (s *Server) execTxn(sn sender, prog txn.Checked) (closeConn bool) {
 	cancel()
 	switch {
 	case err == nil:
-		sn.send(s.committedReply(id))
+		sn.send(s.committedReply(id, prog.Analysis()))
 		return false
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return s.abortAndReply(sn, id)
+		return s.abortAndReply(sn, id, prog.Analysis())
 	default:
 		s.cfg.Logf("server: txn %v: %v", id, err)
 		if aerr := s.sys.Abort(id); aerr != nil && !errors.Is(aerr, core.ErrCommitted) {
@@ -1007,7 +1009,7 @@ func (s *Server) execTxn(sn sender, prog txn.Checked) (closeConn bool) {
 // back. Races with completion are benign: a transaction that committed
 // first is reported as committed; one already in its shrinking phase
 // can never block again and is stepped to commit synchronously.
-func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
+func (s *Server) abortAndReply(sn sender, id txn.ID, a *txn.Analysis) (closeConn bool) {
 	err := s.sys.Abort(id)
 	switch {
 	case err == nil:
@@ -1028,7 +1030,7 @@ func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
 				return true
 			}
 		}
-		sn.send(s.committedReply(id))
+		sn.send(s.committedReply(id, a))
 		return false
 	case errors.Is(err, core.ErrShrinking):
 		if derr := s.drainShrinking(id); derr != nil {
@@ -1036,7 +1038,7 @@ func (s *Server) abortAndReply(sn sender, id txn.ID) (closeConn bool) {
 			sn.send(wire.Error{Code: wire.CodeInternal, Msg: derr.Error()})
 			return true
 		}
-		sn.send(s.committedReply(id))
+		sn.send(s.committedReply(id, a))
 		return false
 	default:
 		sn.send(wire.Error{Code: wire.CodeInternal, Msg: err.Error()})
@@ -1068,17 +1070,16 @@ func (s *Server) drainShrinking(id txn.ID) error {
 	return fmt.Errorf("server: %v did not commit while draining", id)
 }
 
-// committedReply snapshots a committed transaction's outcome and
-// retires its engine state.
-func (s *Server) committedReply(id txn.ID) wire.Committed {
-	st := s.sys.TxnStatsOf(id)
-	locals, _ := s.sys.Locals(id)
-	decls := make([]wire.LocalDecl, 0, len(locals))
-	for name, v := range locals {
-		decls = append(decls, wire.LocalDecl{Name: name, Val: v})
+// committedReply retires a committed transaction and builds its reply
+// from one engine call: the counters and the final locals in slot
+// order, named by the program's analysis a (LocalNames is sorted, so
+// the reply lists locals by name as it always has).
+func (s *Server) committedReply(id txn.ID, a *txn.Analysis) wire.Committed {
+	st, vals, _ := s.sys.Retire(id, make([]int64, 0, len(a.LocalNames)))
+	decls := make([]wire.LocalDecl, len(vals))
+	for i, v := range vals {
+		decls[i] = wire.LocalDecl{Name: a.LocalNames[i], Val: v}
 	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].Name < decls[j].Name })
-	_ = s.sys.Forget(id)
 	return wire.Committed{
 		Txn:    int64(id),
 		Locals: decls,

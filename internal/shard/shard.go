@@ -672,6 +672,24 @@ func (e *Engine) Forget(id txn.ID) error {
 	return nil
 }
 
+// Retire returns a committed transaction's counters and final locals
+// (appended to locals in slot order) and forgets it, on its shard in
+// one engine call (see core.System.Retire).
+func (e *Engine) Retire(id txn.ID, locals []int64) (core.TxnStats, []int64, error) {
+	b, ok := e.bindingOf(id)
+	if !ok {
+		// Queued or unknown: Forget reports which, and a queued
+		// transaction has not committed either way.
+		return core.TxnStats{}, locals, e.Forget(id)
+	}
+	st, locals, err := e.shards[b.shard].Retire(b.local, locals)
+	if err != nil {
+		return st, locals, err
+	}
+	e.unbind(id)
+	return st, locals, nil
+}
+
 // Locals returns a copy of id's local-variable values; for a queued
 // transaction these are its program's initial values.
 func (e *Engine) Locals(id txn.ID) (map[string]int64, error) {

@@ -1,13 +1,16 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"partialrollback/internal/core"
 	"partialrollback/internal/entity"
+	"partialrollback/internal/exec"
 	"partialrollback/internal/txn"
 	"partialrollback/internal/value"
 )
@@ -515,6 +518,95 @@ func TestRejectedRegistrationsLeaveInternerUnchanged(t *testing.T) {
 	}
 	if got := store.MustGet("a"); got != 1 {
 		t.Fatalf("a = %d after one increment, want 1", got)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSharedCheckedAdmission registers one txn.Checked from
+// many goroutines at once, in phases that each pin its entity to a
+// different shard, so the same Analysis is read by concurrent
+// registrations on every shard — and by queued admissions placed from
+// whichever goroutine releases the blocking pin. Under -race any write
+// to the shared Analysis, or to state prepared outside a shard's engine
+// lock, is reported.
+func TestConcurrentSharedCheckedAdmission(t *testing.T) {
+	const shards, ents, workers, rounds = 4, 64, 8, 10
+	store := entity.NewUniformStore("e", ents, 0)
+	notif := exec.NewNotifier()
+	e := New(shards, core.Config{Store: store, Strategy: core.MCS, OnEvent: notif.OnEvent})
+	shared, err := txn.Check(bump("shared", "e0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// byShard[k] lists entities (other than e0) homed on shard k: a
+	// holder locking e0 and two of them outvotes e0's own home and pins
+	// e0 to k until it commits.
+	var byShard [shards][]string
+	for i := 1; i < ents; i++ {
+		name := fmt.Sprintf("e%d", i)
+		byShard[homeShard(name, shards)] = append(byShard[homeShard(name, shards)], name)
+	}
+	run := func(id txn.ID) ([]int64, error) {
+		err := exec.StepToCommit(context.Background(), e, id, notif.Register(id), 0)
+		notif.Unregister(id)
+		if err != nil {
+			return nil, err
+		}
+		_, locals, err := e.Retire(id, nil)
+		return locals, err
+	}
+	sharedOn := map[int]bool{}
+	for k := 0; k < shards; k++ {
+		holder := e.MustRegister(bump("holder", "e0", byShard[k][0], byShard[k][1]))
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					id, err := e.RegisterChecked(shared)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if b, ok := e.bindingOf(id); ok {
+						mu.Lock()
+						sharedOn[b.shard] = true
+						mu.Unlock()
+					}
+					locals, err := run(id)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if len(locals) != 1 {
+						errs <- fmt.Errorf("%v retired with locals %v, want one", id, locals)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if _, err := run(holder); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(sharedOn) != shards {
+		t.Fatalf("shared Checked placed on shards %v, want all %d", sharedOn, shards)
+	}
+	if got, want := store.MustGet("e0"), int64(shards*(workers*rounds+1)); got != want {
+		t.Fatalf("e0 = %d, want %d (one increment per commit)", got, want)
+	}
+	if got := len(e.IDs()); got != 0 {
+		t.Fatalf("%d transactions still registered after Retire", got)
 	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)

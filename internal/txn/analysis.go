@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -21,6 +22,17 @@ type LockRequest struct {
 
 // Analysis holds static facts about a program used by the rollback
 // machinery and by the §5 structure experiments.
+//
+// The fields are what every engine reads on the served path: the lock
+// requests (admission resolves their entities) and the slot plan for
+// locals. The per-target write views the figures, the single-copy
+// strategies and the shard router need (EntityLockIndex,
+// FirstWriteLockIndex, WriteLockIndexes, OpTargets and the indexes
+// built on them) are methods that derive their result from the program
+// on each call, so admission never pays for them. An Analysis is
+// immutable once built — a txn.Checked, and with it its Analysis, may
+// be shared by concurrent registrations (internal/shard hands one to
+// its shards) — so the derived views are never cached in it.
 type Analysis struct {
 	// Requests lists the program's lock requests in order; the k-th
 	// entry has LockIndex k.
@@ -28,16 +40,6 @@ type Analysis struct {
 	// LockIndexOf[i] is the lock index of Ops[i]: the number of lock
 	// requests strictly before op i.
 	LockIndexOf []int
-	// EntityLockIndex maps each locked entity to the LockIndex of its
-	// request.
-	EntityLockIndex map[string]int
-	// FirstWriteLockIndex maps each written target (entity or local) to
-	// the lock index of its first write; the paper's index of
-	// restorability is this minus one.
-	FirstWriteLockIndex map[string]int
-	// WriteLockIndexes maps each written target to the sorted distinct
-	// lock indexes at which it is written.
-	WriteLockIndexes map[string][]int
 
 	// The fields below are the execution plan for the allocation-free
 	// hot path: locals resolved to dense slots at analysis time, so
@@ -46,7 +48,8 @@ type Analysis struct {
 	// value.EvalSlots over the tree beats any per-Register compilation.
 
 	// LocalNames lists the program's local variables in slot order
-	// (sorted by name); LocalSlot is the inverse mapping.
+	// (sorted by name); LocalSlot is the inverse mapping. Engines share
+	// both (value.EvalSlots, mcs.NewSlots) and must not modify them.
 	LocalNames []string
 	LocalSlot  map[string]int
 	// InitLocals[s] is the declared initial value of slot s.
@@ -54,11 +57,10 @@ type Analysis struct {
 	// OpLocalSlot[i] is the slot of Ops[i].Local, or -1 when op i has
 	// no local operand.
 	OpLocalSlot []int
-	// OpTarget[i] is the state-dependency-graph write-target key of op
-	// i ("e:<entity>" for entity writes, "l:<local>" for local writes,
-	// "" when op i writes nothing) — precomputed so the hot path does
-	// not concatenate strings per write.
-	OpTarget []string
+
+	// ops is the analyzed program's operation list, the source of the
+	// derived write views.
+	ops []Op
 }
 
 // Checked is a program that passed validation, paired with the Analysis
@@ -109,13 +111,21 @@ func Analyze(p *Program) *Analysis {
 // allows; the error is the first rule violation, exactly as Validate
 // reports it.
 func ValidateAnalyze(p *Program) (*Analysis, error) {
+	// One backing array serves both per-op index slices, and Requests
+	// is sized by a counting pass, so analysis allocates a fixed
+	// handful of objects whatever the program's length.
+	nops, nreq := len(p.Ops), 0
+	for i := range p.Ops {
+		if p.Ops[i].Kind.IsLockRequest() {
+			nreq++
+		}
+	}
+	perOp := make([]int, 2*nops)
 	a := &Analysis{
-		LockIndexOf:         make([]int, len(p.Ops)),
-		EntityLockIndex:     map[string]int{},
-		FirstWriteLockIndex: map[string]int{},
-		WriteLockIndexes:    map[string][]int{},
-		OpLocalSlot:         make([]int, len(p.Ops)),
-		OpTarget:            make([]string, len(p.Ops)),
+		Requests:    make([]LockRequest, 0, nreq),
+		LockIndexOf: perOp[:nops:nops],
+		OpLocalSlot: perOp[nops:],
+		ops:         p.Ops,
 	}
 	a.LocalNames = make([]string, 0, len(p.Locals))
 	for name := range p.Locals {
@@ -196,7 +206,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 				Exclusive: o.Kind == OpLockX,
 				LockIndex: li,
 			})
-			a.EntityLockIndex[o.Entity] = li
 			li++
 		case OpUnlock:
 			if k := findHeld(o.Entity); k < 0 {
@@ -212,10 +221,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if _, ok := p.Locals[o.Local]; !ok {
 				fail("read into undeclared local %q", o.Local)
 			}
-			// A read assigns its destination local: it is a local write
-			// for rollback purposes.
-			a.noteWrite(o.Local, li)
-			a.OpTarget[i] = "l:" + o.Local
 		case OpWrite:
 			if !seenLock {
 				fail("write before first lock request")
@@ -226,8 +231,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if err := checkRefs(p, o.Expr); err != nil {
 				fail("%v", err)
 			}
-			a.noteWrite(o.Entity, li)
-			a.OpTarget[i] = "e:" + o.Entity
 		case OpCompute:
 			if !seenLock {
 				fail("compute before first lock request")
@@ -238,8 +241,6 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 			if err := checkRefs(p, o.Expr); err != nil {
 				fail("%v", err)
 			}
-			a.noteWrite(o.Local, li)
-			a.OpTarget[i] = "l:" + o.Local
 		case OpDeclareLastLock:
 			if declaredLast {
 				fail("DeclareLastLock repeated")
@@ -254,20 +255,82 @@ func ValidateAnalyze(p *Program) (*Analysis, error) {
 	if firstErr == nil && (len(p.Ops) == 0 || p.Ops[len(p.Ops)-1].Kind != OpCommit) {
 		firstErr = fmt.Errorf("txn %s: program must end with Commit", p.Name)
 	}
-	for _, idxs := range a.WriteLockIndexes {
-		sort.Ints(idxs)
-	}
 	return a, firstErr
 }
 
-func (a *Analysis) noteWrite(target string, li int) {
-	if _, ok := a.FirstWriteLockIndex[target]; !ok {
-		a.FirstWriteLockIndex[target] = li
+// writeTarget returns the target op o writes — its destination local
+// for Read and Compute (a read assigns its local: a local write for
+// rollback purposes), its entity for Write — and whether that target
+// is a local. ok is false for ops that write nothing.
+func writeTarget(o *Op) (target string, local, ok bool) {
+	switch o.Kind {
+	case OpRead, OpCompute:
+		return o.Local, true, true
+	case OpWrite:
+		return o.Entity, false, true
 	}
-	idxs := a.WriteLockIndexes[target]
-	if n := len(idxs); n == 0 || idxs[n-1] != li {
-		a.WriteLockIndexes[target] = append(idxs, li)
+	return "", false, false
+}
+
+// EntityLockIndex maps each locked entity to the LockIndex of its
+// request. Derived from Requests on each call.
+func (a *Analysis) EntityLockIndex() map[string]int {
+	out := make(map[string]int, len(a.Requests))
+	for _, r := range a.Requests {
+		out[r.Entity] = r.LockIndex
 	}
+	return out
+}
+
+// FirstWriteLockIndex maps each written target (entity or local) to
+// the lock index of its first write; the paper's index of
+// restorability is this minus one. Derived on each call.
+func (a *Analysis) FirstWriteLockIndex() map[string]int {
+	w := a.WriteLockIndexes()
+	out := make(map[string]int, len(w))
+	for target, idxs := range w {
+		out[target] = idxs[0]
+	}
+	return out
+}
+
+// WriteLockIndexes maps each written target to the sorted distinct
+// lock indexes at which it is written. Derived on each call.
+func (a *Analysis) WriteLockIndexes() map[string][]int {
+	out := map[string][]int{}
+	for i := range a.ops {
+		target, _, ok := writeTarget(&a.ops[i])
+		if !ok {
+			continue
+		}
+		li := a.LockIndexOf[i]
+		idxs := out[target]
+		// Lock indexes never decrease along the ops, so appending each
+		// new one keeps the list sorted and distinct.
+		if n := len(idxs); n == 0 || idxs[n-1] != li {
+			out[target] = append(idxs, li)
+		}
+	}
+	return out
+}
+
+// OpTargets returns, for each op, its state-dependency-graph write
+// target key: "e:<entity>" for entity writes, "l:<local>" for local
+// writes (reads included), "" when the op writes nothing. The
+// single-copy strategies derive it once per registration, so their
+// step path does not concatenate strings per write.
+func (a *Analysis) OpTargets() []string {
+	out := make([]string, len(a.ops))
+	for i := range a.ops {
+		if target, local, ok := writeTarget(&a.ops[i]); ok {
+			if local {
+				out[i] = "l:" + target
+			} else {
+				out[i] = "e:" + target
+			}
+		}
+	}
+	return out
 }
 
 // NumLocks returns the number of lock requests in the program.
@@ -279,11 +342,12 @@ func (a *Analysis) NumLocks() int { return len(a.Requests) }
 // false if the target is never written (every state is restorable for
 // it).
 func (a *Analysis) RestorabilityIndex(target string) (int, bool) {
-	u, ok := a.FirstWriteLockIndex[target]
-	if !ok {
-		return 0, false
+	for i := range a.ops {
+		if t, _, ok := writeTarget(&a.ops[i]); ok && t == target {
+			return a.LockIndexOf[i] - 1, true
+		}
 	}
-	return u - 1, true
+	return 0, false
 }
 
 // StaticWellDefined reports, for the completed program (all n lock
@@ -298,7 +362,7 @@ func (a *Analysis) StaticWellDefined() []bool {
 	for q := range wd {
 		wd[q] = true
 	}
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range a.WriteLockIndexes() {
 		if len(idxs) == 0 {
 			continue
 		}
@@ -333,7 +397,7 @@ func (a *Analysis) WellDefinedCount() int {
 // mean writes are scattered across lock states.
 func (a *Analysis) ClusteringIndex() int {
 	total := 0
-	for _, idxs := range a.WriteLockIndexes {
+	for _, idxs := range a.WriteLockIndexes() {
 		if len(idxs) > 1 {
 			total += idxs[len(idxs)-1] - idxs[0]
 		}
@@ -367,12 +431,13 @@ func IsThreePhase(p *Program) bool {
 	return declared
 }
 
-// LockSet returns the entities locked by the program, sorted.
+// LockSet returns the entities locked by the program, sorted and
+// distinct.
 func (a *Analysis) LockSet() []string {
-	out := make([]string, 0, len(a.EntityLockIndex))
-	for e := range a.EntityLockIndex {
-		out = append(out, e)
+	out := make([]string, 0, len(a.Requests))
+	for _, r := range a.Requests {
+		out = append(out, r.Entity)
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }

@@ -166,20 +166,20 @@ func TestAnalyzeLockIndexes(t *testing.T) {
 			t.Errorf("request %d = %+v", i, r)
 		}
 	}
-	if a.EntityLockIndex["b"] != 1 {
-		t.Errorf("EntityLockIndex[b] = %d", a.EntityLockIndex["b"])
+	if a.EntityLockIndex()["b"] != 1 {
+		t.Errorf("EntityLockIndex[b] = %d", a.EntityLockIndex()["b"])
 	}
 	// Writes: a at 1 (twice: read sets x at 1 too) and 2; b at 3.
-	if got := a.WriteLockIndexes["a"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := a.WriteLockIndexes()["a"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("writes to a at %v", got)
 	}
-	if got := a.WriteLockIndexes["b"]; len(got) != 1 || got[0] != 3 {
+	if got := a.WriteLockIndexes()["b"]; len(got) != 1 || got[0] != 3 {
 		t.Errorf("writes to b at %v", got)
 	}
-	if got := a.WriteLockIndexes["x"]; len(got) != 1 || got[0] != 1 {
+	if got := a.WriteLockIndexes()["x"]; len(got) != 1 || got[0] != 1 {
 		t.Errorf("writes to local x at %v", got)
 	}
-	if u, ok := a.FirstWriteLockIndex["a"]; !ok || u != 1 {
+	if u, ok := a.FirstWriteLockIndex()["a"]; !ok || u != 1 {
 		t.Errorf("first write of a = %d, %v", u, ok)
 	}
 	if rho, ok := a.RestorabilityIndex("a"); !ok || rho != 0 {
@@ -369,22 +369,23 @@ func TestAnalysisExecutionPlan(t *testing.T) {
 	if a.InitLocals[a.LocalSlot["a"]] != 1 || a.InitLocals[a.LocalSlot["b"]] != 2 {
 		t.Fatalf("InitLocals = %v out of sync with slots %v", a.InitLocals, a.LocalSlot)
 	}
+	targets := a.OpTargets()
 	for i, o := range p.Ops {
 		switch o.Kind {
 		case OpRead, OpCompute:
 			if a.OpLocalSlot[i] != a.LocalSlot[o.Local] {
 				t.Errorf("op %d (%s): OpLocalSlot = %d, want %d", i, o, a.OpLocalSlot[i], a.LocalSlot[o.Local])
 			}
-			if want := "l:" + o.Local; a.OpTarget[i] != want {
-				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, a.OpTarget[i], want)
+			if want := "l:" + o.Local; targets[i] != want {
+				t.Errorf("op %d (%s): OpTargets()[i] = %q, want %q", i, o, targets[i], want)
 			}
 		case OpWrite:
-			if want := "e:" + o.Entity; a.OpTarget[i] != want {
-				t.Errorf("op %d (%s): OpTarget = %q, want %q", i, o, a.OpTarget[i], want)
+			if want := "e:" + o.Entity; targets[i] != want {
+				t.Errorf("op %d (%s): OpTargets()[i] = %q, want %q", i, o, targets[i], want)
 			}
 		default:
-			if a.OpTarget[i] != "" {
-				t.Errorf("op %d (%s): OpTarget = %q, want empty", i, o, a.OpTarget[i])
+			if targets[i] != "" {
+				t.Errorf("op %d (%s): OpTargets()[i] = %q, want empty", i, o, targets[i])
 			}
 		}
 	}

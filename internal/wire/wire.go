@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"partialrollback/internal/txn"
@@ -391,6 +392,11 @@ func appendExpr(b []byte, e value.Expr) ([]byte, error) {
 // decoder consumes a payload body with bounds checks.
 type decoder struct {
 	b []byte
+	// seen holds the distinct names decoded so far in this frame (up to
+	// its length); a repeated name reuses the first string instead of
+	// allocating another.
+	seen  [32]string
+	nseen int
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -436,6 +442,36 @@ func (d *decoder) string() (string, error) {
 	return s, nil
 }
 
+// name decodes an entity or local name. Names repeat within a frame —
+// every lock, read and write of an entity, every reference to a local —
+// so each distinct name is allocated once per frame. Like every decoded
+// string, the result never aliases the payload.
+func (d *decoder) name() (string, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if n > MaxString {
+		return "", protoErr("string length %d exceeds %d", n, MaxString)
+	}
+	if uint64(len(d.b)) < n {
+		return "", protoErr("truncated string")
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	for _, s := range d.seen[:d.nseen] {
+		if s == string(b) {
+			return s, nil
+		}
+	}
+	s := string(b)
+	if d.nseen < len(d.seen) {
+		d.seen[d.nseen] = s
+		d.nseen++
+	}
+	return s, nil
+}
+
 func (d *decoder) expr(depth int, budget *int) (value.Expr, error) {
 	if depth > MaxExprDepth {
 		return nil, protoErr("expression deeper than %d", MaxExprDepth)
@@ -456,7 +492,7 @@ func (d *decoder) expr(depth int, budget *int) (value.Expr, error) {
 		}
 		return value.Const(v), nil
 	case 1:
-		s, err := d.string()
+		s, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -496,7 +532,7 @@ func (d *decoder) locals(max int) ([]LocalDecl, error) {
 	}
 	out := make([]LocalDecl, 0, n)
 	for i := uint64(0); i < n; i++ {
-		name, err := d.string()
+		name, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -544,25 +580,25 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if mode == 1 {
 				op.Kind = txn.OpLockX
 			}
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
 		case TUnlock:
 			op.Kind = txn.OpUnlock
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
 		case TRead:
 			op.Kind = txn.OpRead
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
-			if op.Local, err = d.string(); err != nil {
+			if op.Local, err = d.name(); err != nil {
 				return nil, err
 			}
 		case TWrite:
 			op.Kind = txn.OpWrite
-			if op.Entity, err = d.string(); err != nil {
+			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
 			budget := MaxExprNodes
@@ -571,7 +607,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			}
 		case TCompute:
 			op.Kind = txn.OpCompute
-			if op.Local, err = d.string(); err != nil {
+			if op.Local, err = d.name(); err != nil {
 				return nil, err
 			}
 			budget := MaxExprNodes
@@ -894,28 +930,28 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 			return nil, protoErr("unknown lock mode %d", mode)
 		}
 		x.Exclusive = mode == 1
-		if x.Entity, err = d.string(); err != nil {
+		if x.Entity, err = d.name(); err != nil {
 			return nil, err
 		}
 		m = x
 	case TUnlock:
 		var x Unlock
-		if x.Entity, err = d.string(); err != nil {
+		if x.Entity, err = d.name(); err != nil {
 			return nil, err
 		}
 		m = x
 	case TRead:
 		var x Read
-		if x.Entity, err = d.string(); err != nil {
+		if x.Entity, err = d.name(); err != nil {
 			return nil, err
 		}
-		if x.Local, err = d.string(); err != nil {
+		if x.Local, err = d.name(); err != nil {
 			return nil, err
 		}
 		m = x
 	case TWrite:
 		var x Write
-		if x.Entity, err = d.string(); err != nil {
+		if x.Entity, err = d.name(); err != nil {
 			return nil, err
 		}
 		budget := MaxExprNodes
@@ -925,7 +961,7 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 		m = x
 	case TCompute:
 		var x Compute
-		if x.Local, err = d.string(); err != nil {
+		if x.Local, err = d.name(); err != nil {
 			return nil, err
 		}
 		budget := MaxExprNodes
@@ -1020,23 +1056,7 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 // and the total bytes consumed. I/O failures are returned as-is;
 // malformed content is reported wrapped in ErrProtocol.
 func ReadMsg(r io.Reader) (Msg, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, 4, err
-	}
-	m, err := Decode(payload)
-	return m, 4 + int(n), err
+	return (&Reader{r: r}).ReadMsg()
 }
 
 // ReadFrame reads one frame of any protocol version from r and decodes
@@ -1044,23 +1064,95 @@ func ReadMsg(r io.Reader) (Msg, int, error) {
 // failures are returned as-is; malformed content is reported wrapped in
 // ErrProtocol.
 func ReadFrame(r io.Reader) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, 0, err
+	return (&Reader{r: r}).ReadFrame()
+}
+
+// Reader reads and decodes frames from one connection, reusing its
+// payload buffer from frame to frame: no decoded message aliases the
+// payload (every string is copied), so the buffer is free again as soon
+// as a frame is decoded. A Reader is not safe for concurrent use; a
+// connection's single read loop owns it.
+type Reader struct {
+	r   io.Reader
+	buf []byte
+}
+
+// NewReader returns a Reader over r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: r}
+}
+
+// ReadMsg is the package-level ReadMsg over the Reader's buffer.
+func (rd *Reader) ReadMsg() (Msg, int, error) {
+	defer rd.release()
+	payload, n, err := rd.readPayload()
+	if err != nil {
+		return nil, n, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return Frame{}, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, 4, err
+	m, err := Decode(payload)
+	return m, n, err
+}
+
+// ReadFrame is the package-level ReadFrame over the Reader's buffer.
+func (rd *Reader) ReadFrame() (Frame, int, error) {
+	defer rd.release()
+	payload, n, err := rd.readPayload()
+	if err != nil {
+		return Frame{}, n, err
 	}
 	f, err := DecodeFrame(payload)
-	return f, 4 + int(n), err
+	return f, n, err
+}
+
+// Payload buffer bounds: a buffer starts at minReadChunk, and one grown
+// past maxKeptBuf is dropped after its frame.
+const (
+	minReadChunk = 4 << 10
+	maxKeptBuf   = 64 << 10
+)
+
+// readPayload reads one frame's length prefix and payload, returning
+// the payload (valid until the next read) and the bytes consumed. The
+// buffer grows only as payload bytes arrive — it at most doubles once
+// the bytes it already holds are filled, never jumping to the
+// announced length — so a peer that announces MaxFrame and stalls pins
+// a few KiB, not a MiB, and memory stays within twice what was sent.
+func (rd *Reader) readPayload() ([]byte, int, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
+		return nil, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n > MaxFrame {
+		return nil, 4, protoErr("frame of %d bytes exceeds %d", n, MaxFrame)
+	}
+	buf := rd.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(cap(buf), minReadChunk), n-len(buf)))
+		}
+		end := min(cap(buf), n)
+		m, err := io.ReadFull(rd.r, buf[len(buf):end])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			rd.buf = buf
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 4, err
+		}
+	}
+	rd.buf = buf
+	return buf, 4 + n, nil
+}
+
+// release keeps the payload buffer for the next frame unless a large
+// (or large truncated) frame grew it, so an idle connection holds at
+// most maxKeptBuf.
+func (rd *Reader) release() {
+	if cap(rd.buf) > maxKeptBuf {
+		rd.buf = nil
+	}
 }
 
 // --- program <-> message translation ---
@@ -1148,10 +1240,12 @@ func (bp BeginProgram) Checked() (txn.Checked, error) {
 		}
 		p.Locals[l.Name] = l.Val
 	}
-	p.Ops = make([]txn.Op, len(bp.Ops), len(bp.Ops)+1)
-	copy(p.Ops, bp.Ops)
+	// The shipped ops become the program's own: neither side mutates
+	// them. Only a program without its trailing Commit is copied, so
+	// the appended Commit never lands in bp's backing array.
+	p.Ops = bp.Ops
 	if n := len(p.Ops); n == 0 || p.Ops[n-1].Kind != txn.OpCommit {
-		p.Ops = append(p.Ops, txn.Op{Kind: txn.OpCommit})
+		p.Ops = append(p.Ops[:n:n], txn.Op{Kind: txn.OpCommit})
 	}
 	return txn.Check(p)
 }

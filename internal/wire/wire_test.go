@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"partialrollback/internal/sim"
 	"partialrollback/internal/txn"
@@ -358,5 +360,100 @@ func TestRetryable(t *testing.T) {
 		if got := code.Retryable(); got != want {
 			t.Errorf("%v retryable = %v, want %v", code, got, want)
 		}
+	}
+}
+
+// TestReaderReusesBufferWithoutAliasing reads a stream of frames —
+// programs, and a reply large enough to outgrow the kept buffer —
+// through one Reader and checks every message only after all were
+// read: the payload buffer is overwritten frame after frame, so any
+// decoded string still pointing into it would have changed.
+func TestReaderReusesBufferWithoutAliasing(t *testing.T) {
+	var want []Msg
+	for _, p := range sim.Generate(sim.GenConfig{Txns: 8, Seed: 5, Shape: sim.Mixed, SharedProb: 0.3}).Programs {
+		frame, err := ProgramFrame(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frame)
+	}
+	big := StatsReply{}
+	for i := 0; i < 800; i++ {
+		big.Counters = append(big.Counters, Counter{Name: fmt.Sprintf("%0200d", i), Val: int64(i)})
+	}
+	want = append(want[:4:4], append([]Msg{big}, want[4:]...)...)
+	var stream bytes.Buffer
+	for i, m := range want {
+		if _, err := WriteMsg(&stream, m); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	rd := NewReader(&stream)
+	var got []Msg
+	for range want {
+		m, _, err := rd.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("messages changed after later frames reused the payload buffer")
+	}
+	if cap(rd.buf) > maxKeptBuf {
+		t.Errorf("reader kept a %d-byte buffer after a large frame, want <= %d", cap(rd.buf), maxKeptBuf)
+	}
+}
+
+// TestReaderSharesNames checks the decode-side name reuse: within one
+// frame a repeated entity or local name is one string.
+func TestReaderSharesNames(t *testing.T) {
+	p := sim.TransferProgram("xfer", "e0", "e1", 5, 3)
+	frame, err := ProgramFrame(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := Encode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := NewReader(bytes.NewReader(enc)).ReadMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := m.(BeginProgram)
+	if !reflect.DeepEqual(bp, frame) {
+		t.Fatalf("decoded %#v, want %#v", bp, frame)
+	}
+	first := map[string]*byte{}
+	for i, op := range bp.Ops {
+		for _, s := range []string{op.Entity, op.Local} {
+			if s == "" {
+				continue
+			}
+			if ptr, ok := first[s]; !ok {
+				first[s] = unsafe.StringData(s)
+			} else if ptr != unsafe.StringData(s) {
+				t.Fatalf("op %d: %q decoded twice in one frame", i, s)
+			}
+		}
+	}
+	if len(first) < 2 {
+		t.Fatalf("program names %v: too few to exercise reuse", first)
+	}
+}
+
+// TestReaderGrowsWithArrivingBytes announces the largest frame and
+// delivers a few bytes of it: the read fails at the truncation having
+// allocated for what arrived, not for what was announced.
+func TestReaderGrowsWithArrivingBytes(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	rd := NewReader(io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 10_000))))
+	if _, _, err := rd.ReadFrame(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("got %v, want unexpected EOF", err)
+	}
+	if c := cap(rd.buf); c > 4*10_000 {
+		t.Fatalf("10 KB of an announced %d-byte frame grew the buffer to %d bytes", MaxFrame, c)
 	}
 }
