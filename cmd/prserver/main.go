@@ -67,8 +67,8 @@ var (
 	shards      = flag.Int("shards", 1, "engine shards (1 = single engine; >1 partitions the lock/wait-for/detection core)")
 	burst       = flag.Int("burst", 1, "max consecutive steps per engine-lock acquisition (1 = classic step-at-a-time; -1 = adaptive: up to 64 while uncontended, 1 under contention)")
 	stripes     = flag.Int("stripes", 1, "lock-table stripes per engine shard (1 = classic single-mutex engine; >1 lets uncontended operations of different transactions run in parallel inside a shard)")
-	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active v3 streams per connection (excess streams are refused with the retryable BUSY)")
-	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for v3 streams (0 = max-streams)")
+	maxStreams  = flag.Int("max-streams", 4096, "maximum concurrently active streams per connection (excess streams are refused with the retryable BUSY)")
+	strmWorkers = flag.Int("stream-workers", 0, "per-connection worker pool bound for streams (0 = max-streams)")
 	walDir      = flag.String("wal", "", "write-ahead log directory: commits are durable and replayed on restart (empty = memory only)")
 	fsyncMode   = flag.String("fsync", "group", "wal fsync discipline: always (fsync per commit) | group (batched fsync) | off (write-through, no fsync)")
 	groupWindow = flag.Duration("group-window", 2*time.Millisecond, "group-commit collection window (-fsync group only)")
@@ -451,7 +451,7 @@ func main() {
 				owners := srv.Owners()
 				out := make(map[txn.ID]obs.TxnOwner, len(owners))
 				for id, o := range owners {
-					out[id] = obs.TxnOwner{Conn: o.Conn, Addr: o.Addr, Stream: o.Stream, Tagged: o.Tagged}
+					out[id] = obs.TxnOwner{Conn: o.Conn, Addr: o.Addr, Stream: o.Stream}
 				}
 				return out
 			}}

@@ -13,44 +13,36 @@ import (
 	"partialrollback/internal/wire"
 )
 
-// serveScript consumes one transaction message sequence per reply set
-// from conn (validating each assembles into a valid program) and
-// answers with the set's messages, then closes the connection.
+// serveScript reads one BeginProgram frame per reply set from conn
+// (checking each carries a valid program on a non-zero stream) and
+// answers with the set's messages on that frame's stream, then closes
+// the connection.
 func serveScript(t *testing.T, conn net.Conn, replySets ...[]wire.Msg) {
 	t.Helper()
 	defer conn.Close()
+	rd := wire.NewReader(conn)
 	for _, replies := range replySets {
-		m, _, err := wire.ReadMsg(conn)
+		f, _, err := rd.ReadFrame()
 		if err != nil {
 			return
 		}
-		begin, ok := m.(wire.Begin)
-		if !ok {
-			t.Errorf("first message %T, want Begin", m)
+		bp, ok := f.Msg.(wire.BeginProgram)
+		if !ok || f.Stream == 0 {
+			t.Errorf("got %#v, want a BeginProgram on a non-zero stream", f)
 			return
 		}
-		asm := wire.NewAssembler(begin)
-		for {
-			m, _, err := wire.ReadMsg(conn)
-			if err != nil {
-				return
-			}
-			done, err := asm.Feed(m)
-			if err != nil {
-				t.Errorf("feed: %v", err)
-				return
-			}
-			if done {
-				break
-			}
+		if _, err := bp.Checked(); err != nil {
+			t.Errorf("shipped program invalid: %v", err)
 		}
-		if _, err := asm.Checked(); err != nil {
-			t.Errorf("assembled program invalid: %v", err)
-		}
+		var out []byte
 		for _, r := range replies {
-			if _, err := wire.WriteMsg(conn, r); err != nil {
+			if out, err = wire.AppendTagged(out, f.Stream, r); err != nil {
+				t.Errorf("encode reply: %v", err)
 				return
 			}
+		}
+		if _, err := conn.Write(out); err != nil {
+			return
 		}
 	}
 }
@@ -78,22 +70,12 @@ func pipeDialer(t *testing.T, scripts ...func(net.Conn)) func() (net.Conn, error
 	}
 }
 
-func testConfig(dial func() (net.Conn, error)) Config {
-	return Config{
-		Dial:           dial,
-		RequestTimeout: 5 * time.Second,
-		MaxAttempts:    8,
-		Backoff:        exec.Backoff{Base: time.Microsecond, Cap: time.Microsecond},
-		Seed:           1,
-	}
-}
-
 func TestRunRetriesRolledBack(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	var notified int
 	// Retryable refusals keep the connection, so one dial serves all
 	// three attempts — this also covers connection reuse.
-	cfg := testConfig(pipeDialer(t, func(conn net.Conn) {
+	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
 			[]wire.Msg{
 				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
@@ -107,7 +89,7 @@ func TestRunRetriesRolledBack(t *testing.T) {
 		)
 	}))
 	cfg.OnRollback = func(wire.RolledBack) { notified++ }
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 	res, err := c.Run(context.Background(), prog)
 	if err != nil {
@@ -126,11 +108,11 @@ func TestRunRetriesRolledBack(t *testing.T) {
 
 func TestRunRedialsAfterTransportFailure(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
-	cfg := testConfig(pipeDialer(t,
+	cfg := testMuxConfig(pipeDialer(t,
 		func(conn net.Conn) { conn.Close() }, // dies immediately
 		func(conn net.Conn) { serveScript(t, conn, []wire.Msg{committedReply()}) },
 	))
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 	res, err := c.Run(context.Background(), prog)
 	if err != nil {
@@ -144,13 +126,13 @@ func TestRunRedialsAfterTransportFailure(t *testing.T) {
 func TestRunStopsOnTerminalError(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	dials := 0
-	cfg := testConfig(func() (net.Conn, error) {
+	cfg := testMuxConfig(func() (net.Conn, error) {
 		dials++
 		cc, sc := net.Pipe()
 		go serveScript(t, sc, []wire.Msg{wire.Error{Code: wire.CodeBadRequest, Msg: "no such entity"}})
 		return cc, nil
 	})
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 	_, err := c.Run(context.Background(), prog)
 	var se *ServerError
@@ -198,7 +180,7 @@ func TestErrRolledBackMatching(t *testing.T) {
 func TestRunCancelDuringBackoff(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	dialed := make(chan struct{}, 1)
-	cfg := Config{
+	cfg := MuxConfig{
 		Dial: func() (net.Conn, error) {
 			select {
 			case dialed <- struct{}{}:
@@ -209,9 +191,8 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 		MaxAttempts: 8,
 		// A delay far beyond the test's patience: only ctx can end it.
 		Backoff: exec.Backoff{Base: time.Hour, Cap: time.Hour},
-		Seed:    1,
 	}
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -235,7 +216,7 @@ func TestRunCancelDuringBackoff(t *testing.T) {
 func TestRunMetrics(t *testing.T) {
 	prog := sim.TransferProgram("t", "e0", "e1", 1, 0)
 	m := &obs.ClientMetrics{}
-	cfg := testConfig(pipeDialer(t, func(conn net.Conn) {
+	cfg := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn,
 			[]wire.Msg{
 				wire.RolledBack{Txn: 7, FromState: 2, ToState: 0, Lost: 2},
@@ -245,7 +226,7 @@ func TestRunMetrics(t *testing.T) {
 		)
 	}))
 	cfg.Metrics = m
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 	if _, err := c.Run(context.Background(), prog); err != nil {
 		t.Fatal(err)
@@ -267,11 +248,11 @@ func TestRunMetrics(t *testing.T) {
 	}
 
 	// A terminal failure counts once and does not count a commit.
-	cfg2 := testConfig(pipeDialer(t, func(conn net.Conn) {
+	cfg2 := testMuxConfig(pipeDialer(t, func(conn net.Conn) {
 		serveScript(t, conn, []wire.Msg{wire.Error{Code: wire.CodeBadRequest, Msg: "bad"}})
 	}))
 	cfg2.Metrics = m
-	c2 := New(cfg2)
+	c2 := NewMux(cfg2)
 	defer c2.Close()
 	if _, err := c2.Run(context.Background(), prog); err == nil {
 		t.Fatal("want terminal error")
@@ -285,23 +266,24 @@ func TestRunMetrics(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	cfg := testConfig(func() (net.Conn, error) {
+	cfg := testMuxConfig(func() (net.Conn, error) {
 		cc, sc := net.Pipe()
 		go func() {
 			defer sc.Close()
-			m, _, err := wire.ReadMsg(sc)
+			f, _, err := wire.ReadFrame(sc)
 			if err != nil {
 				return
 			}
-			if _, ok := m.(wire.Stats); !ok {
-				t.Errorf("got %T, want Stats", m)
+			if _, ok := f.Msg.(wire.Stats); !ok || f.Stream == 0 {
+				t.Errorf("got %#v, want Stats on a non-zero stream", f)
 				return
 			}
-			wire.WriteMsg(sc, wire.StatsReply{Counters: []wire.Counter{{Name: "commits", Val: 3}}})
+			frame, _ := wire.EncodeTagged(f.Stream, wire.StatsReply{Counters: []wire.Counter{{Name: "commits", Val: 3}}})
+			sc.Write(frame)
 		}()
 		return cc, nil
 	})
-	c := New(cfg)
+	c := NewMux(cfg)
 	defer c.Close()
 	counters, err := c.Stats()
 	if err != nil {

@@ -1,3 +1,12 @@
+// Package client is the network counterpart of internal/server: a Mux
+// ships whole transaction programs over the wire protocol, many
+// concurrent transactions over one shared socket, and re-runs each with
+// jittered exponential backoff when the server reports a retryable
+// failure (the transaction was rolled back to its initial state by a
+// request deadline, or refused during shutdown or overload). That
+// retry loop is the client-side analogue of the engine's re-execution
+// after rollback — the same §2 semantics applied one level up, using
+// the shared internal/exec machinery.
 package client
 
 import (
@@ -41,13 +50,14 @@ type MuxConfig struct {
 }
 
 // Mux is a multiplexed client: one shared socket carrying many
-// concurrent transactions, each on its own v3 stream. Unlike Client it
-// IS safe for concurrent use — call Run from as many goroutines as you
-// like; each call allocates a stream, ships the program as one tagged
-// BeginProgram frame, and waits for the verdict tagged back to it,
-// while a single reader goroutine demultiplexes replies. Transport
-// failures fail every in-flight stream with a retryable error and the
-// next attempt redials transparently.
+// concurrent transactions, each on its own stream. It is safe for
+// concurrent use — call Run from as many goroutines as you like; each
+// call allocates a stream, ships the program as one BeginProgram frame,
+// and waits for the verdict tagged back to it, while a single reader
+// goroutine demultiplexes replies. Transport failures fail every
+// in-flight stream with a retryable error and the next attempt redials
+// transparently. A program the server's decoder would refuse fails
+// before anything is dialed or sent, with a non-retryable error.
 type Mux struct {
 	cfg MuxConfig
 
@@ -82,6 +92,63 @@ type muxVerdict struct {
 
 // errMuxClosed is returned by calls on a closed Mux.
 var errMuxClosed = errors.New("client: mux closed")
+
+// ServerError is an Error frame returned by the server.
+type ServerError struct {
+	Code wire.ErrCode
+	Msg  string
+}
+
+func (e *ServerError) Error() string {
+	return fmt.Sprintf("server: %s: %s", e.Code, e.Msg)
+}
+
+// Retryable reports whether re-running the transaction can succeed.
+func (e *ServerError) Retryable() bool { return e.Code.Retryable() }
+
+// ErrRolledBack tags retryable server failures: errors.Is(err,
+// ErrRolledBack) holds for any ServerError whose code is retryable.
+var ErrRolledBack = errors.New("client: transaction rolled back by server")
+
+// Is makes retryable server errors match ErrRolledBack.
+func (e *ServerError) Is(target error) bool {
+	return target == ErrRolledBack && e.Retryable()
+}
+
+// Retryable classifies an error from RunOnce: terminal server verdicts
+// (bad request, internal error) and protocol violations are final;
+// retryable server codes and transport failures (the connection is
+// redialed) are worth another attempt.
+func Retryable(err error) bool {
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se.Retryable()
+	}
+	if errors.Is(err, wire.ErrProtocol) {
+		return false
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return false
+	}
+	// Transport errors: dial failures, resets, timeouts.
+	return true
+}
+
+// Result reports a transaction the server committed.
+type Result struct {
+	// Txn is the server-side transaction ID of the committing run.
+	Txn int64
+	// Locals holds the program's local variables at commit.
+	Locals map[string]int64
+	// Outcome carries the engine's per-transaction counters for the
+	// committing run (partial rollbacks, lost operations, waits).
+	Outcome wire.TxnOutcome
+	// RolledBack collects every rollback notification received, across
+	// all attempts when returned by Run.
+	RolledBack []wire.RolledBack
+	// Attempts is how many runs Run needed (always 1 from RunOnce).
+	Attempts int
+}
 
 // NewMux creates a Mux. No connection is made until the first request.
 func NewMux(cfg MuxConfig) *Mux {
@@ -139,17 +206,27 @@ func (m *Mux) ensure() (net.Conn, int64, error) {
 
 // readLoop is one connection epoch's demultiplexer: the only goroutine
 // reading the socket. Replies are routed to their stream's endpoint;
-// a read failure fails every stream of this epoch.
+// a read failure fails every stream of this epoch. An Error on stream 0
+// is the server's verdict on the connection itself, sent just before it
+// closes the socket; it becomes the cause of that loss, so a protocol
+// error is terminal and a busy refusal retryable.
 func (m *Mux) readLoop(nc net.Conn, ep int64) {
 	rd := wire.NewReader(bufio.NewReader(nc))
+	var connErr error
 	for {
 		f, _, err := rd.ReadFrame()
 		if err != nil {
+			if connErr != nil {
+				err = connErr
+			}
 			m.teardown(nc, ep, err)
 			return
 		}
-		if !f.Tagged {
-			continue // not ours; a multiplexed client only sends tagged frames
+		if f.Stream == 0 {
+			if x, ok := f.Msg.(wire.Error); ok {
+				connErr = &ServerError{Code: x.Code, Msg: x.Msg}
+			}
+			continue
 		}
 		m.mu.Lock()
 		st := m.pending[f.Stream]
@@ -210,8 +287,8 @@ func (m *Mux) openStream(ep int64) (uint32, *muxStream, error) {
 		return 0, nil, errors.New("client: connection lost while opening stream")
 	}
 	for {
-		m.next++
-		if _, taken := m.pending[m.next]; !taken {
+		m.next++ // stream 0 is the connection's own; skip it on wrap
+		if _, taken := m.pending[m.next]; !taken && m.next != 0 {
 			break
 		}
 	}
@@ -227,18 +304,25 @@ func (m *Mux) closeStream(stream uint32) {
 }
 
 // writeTagged encodes one tagged frame and writes it; writes from
-// concurrent streams are serialized on the shared socket.
-func (m *Mux) writeTagged(nc net.Conn, stream uint32, msg wire.Msg) error {
+// concurrent streams are serialized on the shared socket. Only a failed
+// write retires the connection epoch ep: a message that fails to
+// encode was never sent, and the other streams keep the socket.
+func (m *Mux) writeTagged(nc net.Conn, ep int64, stream uint32, msg wire.Msg) error {
 	m.wmu.Lock()
-	defer m.wmu.Unlock()
 	buf, err := wire.AppendTagged(m.wbuf[:0], stream, msg)
 	if err != nil {
+		m.wmu.Unlock()
 		return err
 	}
 	m.wbuf = buf
 	_ = nc.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	_, err = nc.Write(buf)
-	return err
+	m.wmu.Unlock()
+	if err != nil {
+		m.teardown(nc, ep, err)
+		return fmt.Errorf("client: write: %w", err)
+	}
+	return nil
 }
 
 // RunOnce submits prog on a fresh stream and waits for its verdict: a
@@ -259,9 +343,8 @@ func (m *Mux) RunOnce(prog *txn.Program) (*Result, error) {
 		return nil, err
 	}
 	defer m.closeStream(stream)
-	if err := m.writeTagged(nc, stream, frame); err != nil {
-		m.teardown(nc, ep, err)
-		return nil, fmt.Errorf("client: write: %w", err)
+	if err := m.writeTagged(nc, ep, stream, frame); err != nil {
+		return nil, err
 	}
 	res := &Result{Attempts: 1}
 	timeout := time.NewTimer(m.cfg.RequestTimeout)
@@ -367,9 +450,8 @@ func (m *Mux) Stats() ([]wire.Counter, error) {
 		return nil, err
 	}
 	defer m.closeStream(stream)
-	if err := m.writeTagged(nc, stream, wire.Stats{}); err != nil {
-		m.teardown(nc, ep, err)
-		return nil, fmt.Errorf("client: write: %w", err)
+	if err := m.writeTagged(nc, ep, stream, wire.Stats{}); err != nil {
+		return nil, err
 	}
 	timeout := time.NewTimer(m.cfg.RequestTimeout)
 	defer timeout.Stop()

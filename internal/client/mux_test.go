@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -45,8 +47,8 @@ func (p *muxPeer) incoming(t *testing.T, out chan<- [2]uint64) {
 			return
 		}
 		bp, ok := f.Msg.(wire.BeginProgram)
-		if !ok || !f.Tagged {
-			t.Errorf("peer got %#v, want a tagged BeginProgram", f)
+		if !ok || f.Stream == 0 {
+			t.Errorf("peer got %#v, want a BeginProgram on a non-zero stream", f)
 			close(out)
 			return
 		}
@@ -277,5 +279,75 @@ func TestMuxCloseFailsPending(t *testing.T) {
 	}
 	if _, err := m.RunOnce(numberedProgram(t, 1)); !errors.Is(err, errMuxClosed) {
 		t.Errorf("RunOnce after Close = %v, want errMuxClosed", err)
+	}
+}
+
+// TestMuxNeverOpensStreamZero drives the stream counter across its wrap:
+// stream 0 belongs to the connection and must be skipped.
+func TestMuxNeverOpensStreamZero(t *testing.T) {
+	m := NewMux(testMuxConfig(func() (net.Conn, error) {
+		cc, sc := net.Pipe()
+		go func() {
+			br := bufio.NewReader(sc)
+			for {
+				if _, _, err := wire.ReadFrame(br); err != nil {
+					return
+				}
+			}
+		}()
+		return cc, nil
+	}))
+	defer m.Close()
+	_, ep, err := m.ensure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.next = math.MaxUint32 - 1
+	var got []uint32
+	for i := 0; i < 3; i++ {
+		stream, _, err := m.openStream(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, stream)
+	}
+	if want := []uint32{math.MaxUint32, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("streams across the wrap = %v, want %v", got, want)
+	}
+}
+
+// TestMuxStreamZeroErrorIsCause has the peer answer a submission with a
+// connection-level Error on stream 0 and hang up: the pending stream's
+// error must carry that verdict, terminal for a protocol error and
+// retryable for a busy refusal.
+func TestMuxStreamZeroErrorIsCause(t *testing.T) {
+	for _, tc := range []struct {
+		code      wire.ErrCode
+		retryable bool
+	}{
+		{wire.CodeBadRequest, false},
+		{wire.CodeBusy, true},
+	} {
+		m := NewMux(testMuxConfig(func() (net.Conn, error) {
+			cc, sc := net.Pipe()
+			go func() {
+				defer sc.Close()
+				if _, _, err := wire.ReadFrame(bufio.NewReader(sc)); err != nil {
+					return
+				}
+				frame, _ := wire.AppendMsg(nil, wire.Error{Code: tc.code, Msg: "connection verdict"})
+				sc.Write(frame)
+			}()
+			return cc, nil
+		}))
+		_, err := m.RunOnce(numberedProgram(t, 0))
+		m.Close()
+		var se *ServerError
+		if !errors.As(err, &se) || se.Code != tc.code || se.Msg != "connection verdict" {
+			t.Fatalf("%s: err = %v, want the stream-0 Error as cause", tc.code, err)
+		}
+		if Retryable(err) != tc.retryable {
+			t.Errorf("%s: Retryable = %v, want %v", tc.code, Retryable(err), tc.retryable)
+		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 // with all four removed.
 const servedAdmissionAllocs = 70
 
-// transferFrame encodes a fixed 4-lock transfer as a tagged v3 frame:
+// transferFrame encodes a fixed 4-lock transfer as a frame on stream 1:
 // two exclusive and two shared locks, each read into a local and
 // padded with a compute, then both exclusive entities rewritten.
 func transferFrame(t *testing.T) []byte {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,86 +107,6 @@ func TestMuxE2EBanking(t *testing.T) {
 	for _, m := range muxes {
 		m.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	waitGoroutines(t, base)
-}
-
-// TestMixedProtocolAllVersions runs v1 (per-operation), v2
-// (whole-program) and v3 (stream-multiplexed) clients concurrently
-// against one server (run with -race): the per-frame version byte is
-// the whole negotiation, so all three populations must commit
-// everything with zero protocol errors.
-func TestMixedProtocolAllVersions(t *testing.T) {
-	const workers, perWorker, accounts = 9, 8, 6
-	w := sim.BankingWorkload(accounts, workers*perWorker, 100, 99)
-	store := w.NewStore()
-	srv := New(Config{
-		Store:          store,
-		Strategy:       core.MCS,
-		RequestTimeout: 15 * time.Second,
-		Burst:          16,
-	})
-	base := runtime.NumGoroutine()
-
-	mux := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		progs := w.Programs[i*perWorker : (i+1)*perWorker]
-		wg.Add(1)
-		switch i % 3 {
-		case 2: // v3: all these workers share the one mux
-			go func() {
-				defer wg.Done()
-				for _, p := range progs {
-					if _, err := mux.Run(context.Background(), p); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-		default: // v1 and v2: a connection per worker, as before
-			c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8, Proto: 1 + i%3})
-			go func() {
-				defer wg.Done()
-				defer c.Close()
-				for _, p := range progs {
-					if _, err := c.Run(context.Background(), p); err != nil {
-						errCh <- err
-						return
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	if got := counter(t, srv, "proto_errors"); got != 0 {
-		t.Errorf("proto_errors = %d, want 0", got)
-	}
-	if got := counter(t, srv, "commits"); got != workers*perWorker {
-		t.Errorf("commits = %d, want %d", got, workers*perWorker)
-	}
-	// A third of the transactions rode v3 streams.
-	if got := counter(t, srv, "streams_total"); got < workers/3*perWorker {
-		t.Errorf("streams_total = %d, want >= %d", got, workers/3*perWorker)
-	}
-	if err := store.CheckConsistent(); err != nil {
-		t.Error(err)
-	}
-	if err := srv.System().CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	mux.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -353,9 +275,10 @@ func TestMuxStreamLimitBusy(t *testing.T) {
 }
 
 // TestMuxDuplicateStreamDesync replays an already-active stream ID: the
-// server must answer CodeBadRequest and close the connection (the two
-// sides disagree about stream state), while the stream already in
-// flight still receives its terminal reply before the socket dies.
+// server must answer CodeBadRequest on stream 0 and close the
+// connection (the two sides disagree about stream state), while the
+// stream already in flight still receives its terminal reply before the
+// socket dies.
 func TestMuxDuplicateStreamDesync(t *testing.T) {
 	store := entity.NewUniformStore("e", 8, 100)
 	srv := New(Config{Store: store, RequestTimeout: 200 * time.Millisecond})
@@ -387,24 +310,27 @@ func TestMuxDuplicateStreamDesync(t *testing.T) {
 	}
 
 	// Until EOF the connection must deliver: the duplicate's
-	// CodeBadRequest, and the original stream's own terminal reply
-	// (rolled back at the request deadline) — both tagged stream 7.
+	// CodeBadRequest on stream 0, and the original stream's own
+	// terminal reply (rolled back at the request deadline) on stream 7.
 	var badRequests, terminals int
 	for {
 		f, _, err := wire.ReadFrame(cc)
 		if err != nil {
 			break // connection closed by the server
 		}
-		if !f.Tagged || f.Stream != 7 {
+		if f.Stream == 0 {
+			if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBadRequest {
+				t.Fatalf("stream-0 reply %#v, want CodeBadRequest", f)
+			}
+			badRequests++
+			continue
+		}
+		if f.Stream != 7 {
 			t.Fatalf("reply %#v, want a frame tagged stream 7", f)
 		}
-		switch x := f.Msg.(type) {
+		switch f.Msg.(type) {
 		case wire.Error:
-			if x.Code == wire.CodeBadRequest {
-				badRequests++
-			} else {
-				terminals++
-			}
+			terminals++
 		case wire.Committed:
 			terminals++
 		case wire.RolledBack:
@@ -531,4 +457,70 @@ func TestMuxWorkerPoolTracksConcurrency(t *testing.T) {
 	m.Close()
 	shutdownNow(t, srv)
 	waitGoroutines(t, base)
+}
+
+// TestMuxOversizeProgramKeepsSharedSocket submits a program whose entity
+// name exceeds wire.MaxString, alone and then beside an in-flight
+// stream of the same Mux: it must fail terminally before anything is
+// dialed or sent, the server must count no protocol error, and the
+// concurrent stream must commit over the one socket it already had.
+func TestMuxOversizeProgramKeepsSharedSocket(t *testing.T) {
+	store := entity.NewUniformStore("e", 4, 100)
+	srv := New(Config{Store: store})
+	var dials atomic.Int32
+	m := client.NewMux(client.MuxConfig{
+		Dial: func() (net.Conn, error) {
+			dials.Add(1)
+			cc, sc := net.Pipe()
+			go srv.ServeConn(sc)
+			return cc, nil
+		},
+		RequestTimeout: 10 * time.Second,
+		MaxAttempts:    4,
+		Backoff:        exec.Backoff{Base: 100 * time.Microsecond, Cap: 2 * time.Millisecond},
+	})
+	defer m.Close()
+	oversize := sim.TransferProgram("oversize", strings.Repeat("x", 2000), "e1", 1, 0)
+	terminal := func(err error) {
+		t.Helper()
+		if !errors.Is(err, wire.ErrProtocol) || client.Retryable(err) {
+			t.Fatalf("oversize program: err = %v, want a terminal protocol error", err)
+		}
+	}
+
+	_, err := m.Run(context.Background(), oversize)
+	terminal(err)
+	if n := dials.Load(); n != 0 {
+		t.Fatalf("dials = %d after the oversize program alone, want 0", n)
+	}
+
+	holder := mustRegister(t, srv, sim.TransferProgram("holder", "e0", "e1", 1, 0))
+	if _, err := srv.System().Step(holder); err != nil {
+		t.Fatal(err)
+	}
+	resCh := make(chan error, 1)
+	go func() {
+		_, err := m.Run(context.Background(), sim.TransferProgram("inflight", "e0", "e2", 5, 0))
+		resCh <- err
+	}()
+	waitFor(t, func() bool { return srv.System().Stats().Waits > 0 })
+	_, err = m.Run(context.Background(), oversize)
+	terminal(err)
+	driveToCommit(t, srv, holder)
+	if err := <-resCh; err != nil {
+		t.Fatalf("concurrent stream: %v", err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dials = %d, want 1 (one shared socket throughout)", n)
+	}
+	if got := counter(t, srv, "proto_errors"); got != 0 {
+		t.Errorf("proto_errors = %d, want 0", got)
+	}
+	if got := counter(t, srv, "sessions_total"); got != 1 {
+		t.Errorf("sessions_total = %d, want 1", got)
+	}
+	if v := store.MustGet("e2"); v != 105 {
+		t.Errorf("e2 = %d, want 105", v)
+	}
+	shutdownNow(t, srv)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -18,23 +19,6 @@ import (
 	"partialrollback/internal/txn"
 	"partialrollback/internal/wire"
 )
-
-// pipeClient returns a client whose dials are served by srv over
-// net.Pipe — a full end-to-end path with no sockets.
-func pipeClient(srv *Server, cfg client.Config) *client.Client {
-	cfg.Dial = func() (net.Conn, error) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		return cc, nil
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.Backoff.Base == 0 && cfg.Backoff.Cap == 0 && cfg.Backoff.Jitter == nil {
-		cfg.Backoff = exec.Backoff{Base: 100 * time.Microsecond, Cap: 2 * time.Millisecond}
-	}
-	return client.New(cfg)
-}
 
 // mustRegister registers prog on the server's engine (which exposes the
 // core.Engine surface, without core.System's MustRegister helper).
@@ -96,7 +80,7 @@ func TestPipeE2EBanking(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -120,83 +104,6 @@ func TestPipeE2EBanking(t *testing.T) {
 	}
 	if got := counter(t, srv, "commits"); got != clients*perClient {
 		t.Errorf("commits = %d, want %d", got, clients*perClient)
-	}
-	if err := store.CheckConsistent(); err != nil {
-		t.Error(err)
-	}
-	if err := srv.System().CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	waitGoroutines(t, base)
-}
-
-// TestMixedProtocolClients runs v1 (per-operation frames) and v2
-// (whole-program frames) clients concurrently against one server with
-// burst stepping enabled (run with -race): the per-frame version byte
-// is the whole negotiation, so both populations must commit everything
-// with zero protocol errors, and the v2 population must show up in the
-// inbound frame counter as roughly one frame per transaction.
-func TestMixedProtocolClients(t *testing.T) {
-	const clients, perClient, accounts = 8, 10, 6
-	w := sim.BankingWorkload(accounts, clients*perClient, 100, 77)
-	store := w.NewStore()
-	srv := New(Config{
-		Store:          store,
-		Strategy:       core.MCS,
-		RequestTimeout: 15 * time.Second,
-		Burst:          16,
-	})
-	base := runtime.NumGoroutine()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		progs := w.Programs[i*perClient : (i+1)*perClient]
-		proto := 1 + i%2 // alternate v1 / v2 clients
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8, Proto: proto})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Close()
-			for _, p := range progs {
-				if _, err := c.Run(context.Background(), p); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	if got := counter(t, srv, "proto_errors"); got != 0 {
-		t.Errorf("proto_errors = %d, want 0", got)
-	}
-	if got := counter(t, srv, "commits"); got != clients*perClient {
-		t.Errorf("commits = %d, want %d", got, clients*perClient)
-	}
-	// Half the transactions arrived as single v2 frames, half as v1
-	// sequences of ops+2 frames each; the blended frames/txn average
-	// must sit strictly between the two pure rates.
-	framesIn := counter(t, srv, "frames_in")
-	served := counter(t, srv, "txns_served")
-	if served != clients*perClient {
-		t.Errorf("txns_served = %d, want %d", served, clients*perClient)
-	}
-	perTxn := float64(framesIn) / float64(served)
-	if perTxn <= 1.0 || perTxn >= 10 {
-		t.Errorf("frames_in/txn = %.2f, want a v1/v2 blend in (1, 10)", perTxn)
-	}
-	if got := counter(t, srv, "writer_flushes"); got <= 0 {
-		t.Errorf("writer_flushes = %d, want > 0", got)
 	}
 	if err := store.CheckConsistent(); err != nil {
 		t.Error(err)
@@ -226,7 +133,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	resCh := make(chan error, 1)
 	go func() {
@@ -281,7 +188,7 @@ func TestForcedShutdownRollsBackInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	resCh := make(chan error, 1)
 	go func() {
@@ -330,7 +237,7 @@ func TestRequestDeadlineExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	prog := sim.TransferProgram("deadline", "e0", "e2", 5, 0)
 	_, err := c.RunOnce(prog)
@@ -357,67 +264,82 @@ func TestRequestDeadlineExpiry(t *testing.T) {
 	shutdownNow(t, srv)
 }
 
-// TestMalformedFrames sends garbage and truncated frames: the session
-// must answer CodeBadRequest (when a reply is possible), close the
-// connection, and count a protocol error — without disturbing the
-// engine.
+// TestMalformedFrames sends garbage, retired-version and truncated
+// frames: each session must answer a CodeBadRequest Error on stream 0
+// (when a reply is possible), close the connection, and count a
+// protocol error — without hanging and without disturbing the engine.
 func TestMalformedFrames(t *testing.T) {
 	store := entity.NewUniformStore("e", 4, 100)
 	srv := New(Config{Store: store})
-
-	t.Run("garbage", func(t *testing.T) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		// Valid length prefix, bad version.
-		cc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := cc.Write([]byte{0, 0, 0, 2, 99, 99}); err != nil {
-			t.Fatal(err)
-		}
-		m, _, err := wire.ReadMsg(cc)
-		if err != nil {
-			t.Fatalf("read reply: %v", err)
-		}
-		e, ok := m.(wire.Error)
-		if !ok || e.Code != wire.CodeBadRequest {
-			t.Fatalf("reply %+v, want CodeBadRequest", m)
-		}
-		// The server must close the connection after a protocol error.
-		if _, _, err := wire.ReadMsg(cc); err == nil {
-			t.Error("connection still open after protocol error")
-		}
-		cc.Close()
-	})
+	frame := func(payload ...byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	stats, err := wire.EncodeTagged(0, wire.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := wire.EncodeTagged(4, wire.Committed{Txn: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		send []byte
+	}{
+		// Valid length prefix, unknown version.
+		{"garbage", frame(99, 99)},
+		// A retired version-1 Begin, then a version-2 BeginProgram.
+		{"version 1", frame(1, 1, 1, 'T', 0)},
+		{"version 2", frame(2, 10, 1, 'P', 0, 0)},
+		{"unknown type", frame(wire.Version3, 1, 0xEE)},
+		// A BeginProgram whose op list claims more ops than follow.
+		{"truncated body", frame(wire.Version3, 1, byte(wire.TBeginProgram), 1, 'P', 0, 5, 8)},
+		// A reply sent to the server, and a request on the
+		// connection's own stream.
+		{"op outside transaction", committed},
+		{"stream 0 request", stats},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := counter(t, srv, "proto_errors")
+			cc, sc := net.Pipe()
+			go srv.ServeConn(sc)
+			defer cc.Close()
+			cc.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := cc.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			f, _, err := wire.ReadFrame(cc)
+			if err != nil {
+				t.Fatalf("read reply: %v", err)
+			}
+			if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBadRequest || f.Stream != 0 {
+				t.Fatalf("reply %#v, want CodeBadRequest on stream 0", f)
+			}
+			// The server must close the connection after a protocol error.
+			if _, _, err := wire.ReadFrame(cc); err == nil {
+				t.Error("connection still open after protocol error")
+			}
+			if got := counter(t, srv, "proto_errors"); got != before+1 {
+				t.Errorf("proto_errors = %d, want %d", got, before+1)
+			}
+		})
+	}
 
 	t.Run("truncated mid-transaction", func(t *testing.T) {
 		cc, sc := net.Pipe()
 		go srv.ServeConn(sc)
 		cc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := wire.WriteMsg(cc, wire.Begin{Name: "t", Locals: []wire.LocalDecl{{Name: "x"}}}); err != nil {
+		// The length prefix announces more than is sent before the
+		// connection dies mid-upload: nothing to answer, nothing hangs.
+		if _, err := cc.Write([]byte{0, 0, 0, 40, wire.Version3, 1, byte(wire.TBeginProgram)}); err != nil {
 			t.Fatal(err)
-		}
-		cc.Close() // connection dies mid-upload
-	})
-
-	t.Run("op outside transaction", func(t *testing.T) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		cc.SetDeadline(time.Now().Add(5 * time.Second))
-		if _, err := wire.WriteMsg(cc, wire.Lock{Entity: "e0", Exclusive: true}); err != nil {
-			t.Fatal(err)
-		}
-		m, _, err := wire.ReadMsg(cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e, ok := m.(wire.Error); !ok || e.Code != wire.CodeBadRequest {
-			t.Fatalf("reply %+v, want CodeBadRequest", m)
 		}
 		cc.Close()
 	})
 
 	waitFor(t, func() bool { return counter(t, srv, "sessions_active") == 0 })
-	if got := counter(t, srv, "proto_errors"); got < 2 {
-		t.Errorf("proto_errors = %d, want >= 2", got)
+	if got := counter(t, srv, "proto_errors"); got != 7 {
+		t.Errorf("proto_errors = %d, want 7", got)
 	}
 	if err := srv.System().CheckInvariants(); err != nil {
 		t.Error(err)
@@ -431,7 +353,7 @@ func TestMalformedFrames(t *testing.T) {
 func TestBadProgramKeepsSession(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
 	srv := New(Config{Store: store})
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 
 	_, err := c.RunOnce(sim.TransferProgram("bad", "nosuch", "e0", 1, 0))
@@ -450,7 +372,7 @@ func TestBadProgramKeepsSession(t *testing.T) {
 func TestStatsOverWire(t *testing.T) {
 	store := entity.NewUniformStore("e", 2, 0)
 	srv := New(Config{Store: store})
-	c := pipeClient(srv, client.Config{Seed: 1})
+	c := muxClient(srv, client.MuxConfig{})
 	defer c.Close()
 	if _, err := c.RunOnce(sim.TransferProgram("t", "e0", "e1", 1, 0)); err != nil {
 		t.Fatal(err)
@@ -495,10 +417,14 @@ func TestListenBusyReject(t *testing.T) {
 	// Occupy the one session slot (round-trip proves it is serving).
 	c1 := dial()
 	defer c1.Close()
-	if _, err := wire.WriteMsg(c1, wire.Stats{}); err != nil {
+	stats, err := wire.EncodeTagged(1, wire.Stats{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadMsg(c1); err != nil {
+	if _, err := c1.Write(stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadFrame(c1); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the backlog.
@@ -509,12 +435,12 @@ func TestListenBusyReject(t *testing.T) {
 	// The next connection must be refused.
 	c3 := dial()
 	defer c3.Close()
-	m, _, err := wire.ReadMsg(c3)
+	f, _, err := wire.ReadFrame(c3)
 	if err != nil {
 		t.Fatalf("read busy reply: %v", err)
 	}
-	if e, ok := m.(wire.Error); !ok || e.Code != wire.CodeBusy {
-		t.Fatalf("reply %+v, want CodeBusy", m)
+	if e, ok := f.Msg.(wire.Error); !ok || e.Code != wire.CodeBusy || f.Stream != 0 {
+		t.Fatalf("reply %#v, want CodeBusy on stream 0", f)
 	}
 	if got := counter(t, srv, "busy_rejected"); got != 1 {
 		t.Errorf("busy_rejected = %d, want 1", got)
@@ -536,7 +462,7 @@ func TestSessionLimitOverTCP(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 6)
 	for i := 0; i < 6; i++ {
-		c := client.New(client.Config{Addr: addr, Seed: int64(i + 1), RequestTimeout: 10 * time.Second,
+		c := client.NewMux(client.MuxConfig{Addr: addr, RequestTimeout: 10 * time.Second,
 			Backoff: exec.Backoff{Base: time.Millisecond, Cap: 10 * time.Millisecond}})
 		from, to := i%8, (i+3)%8
 		prog := sim.TransferProgram("t", entName(from), entName(to), 1, 1)
@@ -617,7 +543,7 @@ func TestPipeE2EBankingSharded(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -704,7 +630,7 @@ func TestCountersConcurrentWithSessions(t *testing.T) {
 	scrapers.Add(1)
 	go func() {
 		defer scrapers.Done()
-		c := pipeClient(srv, client.Config{Seed: 99})
+		c := muxClient(srv, client.MuxConfig{})
 		defer c.Close()
 		for {
 			select {
@@ -723,7 +649,7 @@ func TestCountersConcurrentWithSessions(t *testing.T) {
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		progs := w.Programs[i*perClient : (i+1)*perClient]
-		c := pipeClient(srv, client.Config{Seed: int64(i + 1), MaxAttempts: 8})
+		c := muxClient(srv, client.MuxConfig{MaxAttempts: 8})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

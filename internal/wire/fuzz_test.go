@@ -9,74 +9,12 @@ import (
 	"partialrollback/internal/value"
 )
 
-// FuzzDecode throws arbitrary payloads at the decoder: it must never
-// panic or over-allocate, and anything it accepts must re-encode and
-// re-decode to the same message (the codec is canonical for everything
-// it emits).
-func FuzzDecode(f *testing.F) {
-	seed := []Msg{
-		Begin{Name: "T1", Locals: []LocalDecl{{"a", 1}}},
-		Lock{Entity: "e0", Exclusive: true},
-		Unlock{Entity: "e0"},
-		Read{Entity: "e1", Local: "a"},
-		Commit{},
-		Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}},
-		RolledBack{Txn: 1, Lost: 4},
-		Error{Code: CodeBusy, Msg: "full"},
-		StatsReply{Counters: []Counter{{"grants", 2}}},
-		BeginProgram{Name: "P"},
-		BeginProgram{
-			Name:   "xfer",
-			Locals: []LocalDecl{{"t", 0}},
-			Ops: []txn.Op{
-				{Kind: txn.OpLockX, Entity: "e0"},
-				{Kind: txn.OpRead, Entity: "e0", Local: "t"},
-				{Kind: txn.OpCompute, Local: "t", Expr: value.Add(value.L("t"), value.C(1))},
-				{Kind: txn.OpDeclareLastLock},
-				{Kind: txn.OpWrite, Entity: "e0", Expr: value.L("t")},
-				{Kind: txn.OpUnlock, Entity: "e0"},
-				{Kind: txn.OpCommit},
-			},
-		},
-	}
-	for _, m := range seed {
-		frame, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
-	}
-	f.Add([]byte{Version, byte(TWrite), 1, 'e', 2, 0, 1, 0, 1})
-	// Hand-built v2 edges: an op list claiming more ops than present, a
-	// v1 type under a v2 version byte, and a truncated op tag.
-	f.Add([]byte{Version2, byte(TBeginProgram), 1, 'P', 0, 5, byte(TCommit)})
-	f.Add([]byte{Version2, byte(TLock), 0, 'e'})
-	f.Add([]byte{Version2, byte(TBeginProgram), 1, 'P', 0, 1})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := Decode(payload)
-		if err != nil {
-			return
-		}
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatalf("decoded message failed to encode: %#v: %v", m, err)
-		}
-		m2, err := Decode(frame[4:])
-		if err != nil {
-			t.Fatalf("re-decode failed: %#v: %v", m, err)
-		}
-		if !reflect.DeepEqual(m, m2) {
-			t.Fatalf("re-decode mismatch: %#v != %#v", m, m2)
-		}
-	})
-}
-
-// FuzzDecodeFrame throws arbitrary payloads at the version-dispatching
-// frame decoder. Untagged frames must decode exactly as Decode does; a
-// v3 payload must be refused by Decode; and anything DecodeFrame
-// accepts must re-encode (EncodeTagged or Encode, by Tagged) and
-// re-decode to the same frame — the stream tag round-trips alongside
-// the message.
+// FuzzDecodeFrame throws arbitrary payloads at the frame decoder — the
+// server's only input from outside: it must never panic or
+// over-allocate, it must refuse every version byte but Version3, and
+// anything it accepts must re-encode and re-decode to the same frame
+// (the codec is canonical for everything it emits, and the encoder
+// accepts everything the decoder does).
 func FuzzDecodeFrame(f *testing.F) {
 	tagged := []struct {
 		stream uint32
@@ -107,43 +45,46 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
-	// Untagged seeds keep the fuzzer exploring the v1/v2 dispatch arm.
-	for _, m := range []Msg{Lock{Entity: "e0"}, Committed{Txn: 3}, BeginProgram{Name: "P"}} {
-		frame, err := Encode(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame[4:])
-	}
-	// Hand-built v3 edges: a truncated stream varint, a stream tag past
-	// MaxStream, and an untaggable v1 type under a v3 version byte.
+	// Retired version-1 and version-2 payloads (a Lock, a Committed
+	// reply, a BeginProgram) keep the fuzzer exploring the version check.
+	f.Add([]byte{1, opLock, 0, 2, 'e', '0'})
+	f.Add([]byte{1, byte(TCommitted), 6, 0, 10, 0, 0, 0, 0})
+	f.Add([]byte{2, byte(TBeginProgram), 1, 'P', 0, 0})
+	// Hand-built edges: a truncated stream varint, a stream tag past
+	// MaxStream, and a retired message type.
 	f.Add([]byte{Version3, 0xFF})
 	f.Add([]byte{Version3, 0x80, 0x80, 0x80, 0x80, 0x10, byte(TStats)})
-	f.Add([]byte{Version3, 0x01, byte(TLock), 0, 1, 'e'})
+	f.Add([]byte{Version3, 0x01, opLock, 0, 1, 'e'})
+	// Program edges: every op kind including the last-lock declaration,
+	// an op list claiming more ops than present, and a truncated op tag.
+	xfer, err := EncodeTagged(1, BeginProgram{
+		Name:   "xfer",
+		Locals: []LocalDecl{{"t", 0}},
+		Ops: []txn.Op{
+			{Kind: txn.OpLockX, Entity: "e0"},
+			{Kind: txn.OpRead, Entity: "e0", Local: "t"},
+			{Kind: txn.OpCompute, Local: "t", Expr: value.Add(value.L("t"), value.C(1))},
+			{Kind: txn.OpDeclareLastLock},
+			{Kind: txn.OpWrite, Entity: "e0", Expr: value.L("t")},
+			{Kind: txn.OpUnlock, Entity: "e0"},
+			{Kind: txn.OpCommit},
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(xfer[4:])
+	f.Add([]byte{Version3, 1, byte(TBeginProgram), 1, 'P', 0, 5, opCommit})
+	f.Add([]byte{Version3, 1, byte(TBeginProgram), 1, 'P', 0, 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		fr, err := DecodeFrame(payload)
 		if err != nil {
 			return
 		}
-		if fr.Tagged {
-			if _, err := Decode(payload); err == nil {
-				t.Fatalf("Decode accepted a v3 payload: %#v", fr)
-			}
-		} else {
-			m, err := Decode(payload)
-			if err != nil {
-				t.Fatalf("DecodeFrame accepted what Decode refuses: %#v: %v", fr, err)
-			}
-			if !reflect.DeepEqual(m, fr.Msg) {
-				t.Fatalf("DecodeFrame and Decode disagree: %#v != %#v", fr.Msg, m)
-			}
+		if payload[0] != Version3 {
+			t.Fatalf("accepted a version-%d payload: %#v", payload[0], fr)
 		}
-		var frame []byte
-		if fr.Tagged {
-			frame, err = EncodeTagged(fr.Stream, fr.Msg)
-		} else {
-			frame, err = Encode(fr.Msg)
-		}
+		frame, err := EncodeTagged(fr.Stream, fr.Msg)
 		if err != nil {
 			t.Fatalf("decoded frame failed to encode: %#v: %v", fr, err)
 		}
@@ -157,29 +98,49 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadMsg exercises the framing layer with arbitrary streams,
-// including short reads and garbage lengths.
-func FuzzReadMsg(f *testing.F) {
-	frame, err := Encode(Lock{Entity: "e0"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(frame)
-	f.Add(append(frame, frame...))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	v2, err := Encode(BeginProgram{Name: "P", Ops: []txn.Op{
+// FuzzReadFrame throws arbitrary byte streams at a connection's Reader:
+// it must never panic or over-allocate, and every frame it reads while
+// reusing its payload buffer must equal the frame DecodeFrame makes of
+// that frame's own bytes — checked only after the whole stream is read,
+// so a decoded message that aliased the reused buffer would show.
+func FuzzReadFrame(f *testing.F) {
+	one, err := EncodeTagged(1, BeginProgram{Name: "P", Ops: []txn.Op{
 		{Kind: txn.OpLockS, Entity: "e0"}, {Kind: txn.OpCommit}}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2)
-	f.Add(append(append([]byte{}, frame...), v2...)) // mixed v1+v2 stream
+	two, err := EncodeTagged(2, Committed{Txn: 3, Stats: TxnOutcome{OpsExecuted: 5}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one)
+	f.Add(append(append([]byte{}, one...), two...))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(one[:len(one)-1])
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
+		rd := NewReader(bytes.NewReader(stream))
+		var got []Frame
+		var ends []int
+		off := 0
 		for {
-			if _, _, err := ReadMsg(r); err != nil {
-				return
+			fr, n, err := rd.ReadFrame()
+			if err != nil {
+				break
 			}
+			off += n
+			got = append(got, fr)
+			ends = append(ends, off)
+		}
+		start := 0
+		for i, fr := range got {
+			want, err := DecodeFrame(stream[start+4 : ends[i]])
+			if err != nil {
+				t.Fatalf("frame %d read but does not decode alone: %v", i, err)
+			}
+			if !reflect.DeepEqual(fr, want) {
+				t.Fatalf("frame %d changed after later reads: %#v != %#v", i, fr, want)
+			}
+			start = ends[i]
 		}
 	})
 }

@@ -2,44 +2,34 @@
 // transaction service (internal/server) and its clients
 // (internal/client).
 //
-// Framing is length-prefixed: every frame is a 4-byte big-endian
-// payload length followed by the payload. The payload starts with a
-// protocol version byte and a message-type byte; the rest is the
-// message body encoded with varints and length-prefixed strings.
+// Every frame is a 4-byte big-endian payload length followed by the
+// payload: the version byte (Version3), the frame's stream ID as a
+// uvarint, a message-type byte, then the message body encoded with
+// varints and length-prefixed strings. There is one framing and no
+// handshake; a frame carrying any other version byte is a protocol
+// error.
 //
-// A transaction is shipped as a message sequence mirroring the paper's
-// atomic operations: Begin (name + local declarations), then one
-// message per operation (Lock/Unlock/Read/Write/Compute/LastLock), then
-// Commit, which asks the server to register and execute the program to
-// completion. The server replies with zero or more RolledBack
-// notifications (one per §2 rollback the engine applied to the
-// transaction while it ran) followed by exactly one Committed or Error
-// frame. Stats may be sent between transactions and is answered with a
-// StatsReply counter snapshot.
+// A client ships each transaction as one BeginProgram frame — name,
+// local declarations and the complete operation list — on a stream ID
+// of its choosing, so one connection carries many concurrent
+// transactions. The server registers and executes the program to
+// completion, re-executing it internally after every §2 rollback, and
+// answers on the same stream with zero or more RolledBack
+// notifications followed by exactly one Committed or Error frame. Stats
+// is answered on its stream with a StatsReply counter snapshot. The
+// client never talks to the server in the middle of a transaction.
 //
-// Protocol v2 adds BeginProgram: the entire program (Begin + operations
-// + Commit) in one frame, so a transaction costs one frame read and one
-// decode instead of one per operation. Versioning is per-frame — the
-// version byte of each frame declares what it carries — so v1 and v2
-// clients coexist on one server with no handshake, and server replies
-// are v1 either way.
-//
-// Protocol v3 adds stream multiplexing: a v3 frame carries a
-// client-chosen stream ID between the version byte and the message, so
-// one connection interleaves many concurrent transactions and the
-// server routes each reply (and rollback notification) back to the
-// stream that submitted the program. Only whole-program submissions and
-// their replies may be tagged (BeginProgram, Stats client->server;
-// Committed, RolledBack, Error, StatsReply server->client) — the
-// stateful v1 per-operation sequence cannot interleave and stays
-// untagged. As with v2, negotiation is per-frame: v1, v2 and v3 traffic
-// coexist on one connection, and untagged frames keep their exact v1/v2
-// byte encoding.
+// Stream 0 is reserved for the connection itself: clients never open
+// it, and the server uses it for connection-level replies — the Error
+// naming a malformed frame before it closes the connection, or the
+// CodeBusy refusal of a connection it cannot serve.
 //
 // Everything decoded from the network is bounds-checked: frame size,
 // string length, op and local counts, and expression size/depth all
 // have hard limits, so a malicious or corrupted peer cannot force large
-// allocations or deep recursion (see the fuzz tests).
+// allocations or deep recursion (see the fuzz tests). The encoder
+// enforces the same limits, so a well-behaved peer never sends a frame
+// the other side must reject.
 package wire
 
 import (
@@ -54,36 +44,20 @@ import (
 	"partialrollback/internal/value"
 )
 
-// Version is the base protocol version. Every message defined by
-// protocol v1 is framed with this version byte, and a v1 frame carrying
-// any other version byte is rejected.
-const Version byte = 1
-
-// Version2 extends v1 with the BeginProgram frame, which ships a whole
-// transaction program in one frame instead of one message per
-// operation. Negotiation is per-frame: the version byte of each frame
-// declares what it carries, so a v2 client needs no handshake and v1
-// traffic (including every server reply) is unchanged. Only
-// BeginProgram frames carry this version byte.
-const Version2 byte = 2
-
-// Version3 tags a frame with a stream ID so one connection carries many
-// concurrent transactions. A v3 payload is the version byte, the stream
-// ID as a uvarint, then the tagged message encoded exactly as its v1/v2
-// body (type byte + fields). Only the multiplexable messages may be
-// tagged — see TaggableType.
+// Version3 is the version byte every frame starts with; a payload
+// with any other version byte is refused.
 const Version3 byte = 3
 
-// Limits enforced during decoding.
+// Limits enforced during decoding, and by the encoder.
 const (
 	// MaxFrame is the largest accepted payload, in bytes.
 	MaxFrame = 1 << 20
-	// MaxStream bounds v3 stream IDs (fits uint32 with room to spare;
+	// MaxStream bounds stream IDs (fits uint32 with room to spare;
 	// a malicious peer cannot force sparse-map blowups past it).
 	MaxStream = 1<<32 - 1
 	// MaxString bounds every decoded string (names, error messages).
 	MaxString = 1 << 10
-	// MaxLocals bounds local declarations per Begin/Committed message.
+	// MaxLocals bounds local declarations per BeginProgram/Committed.
 	MaxLocals = 1 << 10
 	// MaxOps bounds operations per transaction program.
 	MaxOps = 1 << 13
@@ -100,16 +74,7 @@ type Type byte
 
 // Message types. 1-15 are client->server, 16+ are server->client.
 const (
-	TBegin    Type = 1
-	TLock     Type = 2
-	TUnlock   Type = 3
-	TRead     Type = 4
-	TWrite    Type = 5
-	TCompute  Type = 6
-	TLastLock Type = 7
-	TCommit   Type = 8
-	TStats    Type = 9
-	// TBeginProgram is the v2 whole-program frame (see BeginProgram).
+	TStats        Type = 9
 	TBeginProgram Type = 10
 	TCommitted    Type = 16
 	TRolledBack   Type = 17
@@ -117,24 +82,21 @@ const (
 	TStatsReply   Type = 19
 )
 
+// Operation tags inside a BeginProgram body. The values are part of
+// the wire format, which peers built from earlier releases share: they
+// must not change.
+const (
+	opLock     byte = 2
+	opUnlock   byte = 3
+	opRead     byte = 4
+	opWrite    byte = 5
+	opCompute  byte = 6
+	opLastLock byte = 7
+	opCommit   byte = 8
+)
+
 func (t Type) String() string {
 	switch t {
-	case TBegin:
-		return "begin"
-	case TLock:
-		return "lock"
-	case TUnlock:
-		return "unlock"
-	case TRead:
-		return "read"
-	case TWrite:
-		return "write"
-	case TCompute:
-		return "compute"
-	case TLastLock:
-		return "last-lock"
-	case TCommit:
-		return "commit"
 	case TStats:
 		return "stats"
 	case TBeginProgram:
@@ -158,7 +120,7 @@ type ErrCode byte
 // Error codes. Retryable reports which ones a client may retry.
 const (
 	// CodeBadRequest: malformed frame, invalid program, or a message
-	// arriving out of protocol order. Not retryable.
+	// the server does not accept. Not retryable.
 	CodeBadRequest ErrCode = 1
 	// CodeRolledBack: the server rolled the transaction back to its
 	// initial state and discarded it (request deadline expired, or the
@@ -213,54 +175,15 @@ type Counter struct {
 	Val  int64
 }
 
-// Begin opens a transaction: program name plus local declarations.
-type Begin struct {
-	Name   string
-	Locals []LocalDecl
-}
-
-// Lock requests a shared or exclusive lock on an entity.
-type Lock struct {
-	Entity    string
-	Exclusive bool
-}
-
-// Unlock releases an entity (shrinking phase).
-type Unlock struct{ Entity string }
-
-// Read reads an entity into a local.
-type Read struct{ Entity, Local string }
-
-// Write writes an expression over locals to an entity.
-type Write struct {
-	Entity string
-	Expr   value.Expr
-}
-
-// Compute assigns an expression over locals to a local.
-type Compute struct {
-	Local string
-	Expr  value.Expr
-}
-
-// LastLock is the §5 declaration that no lock requests follow.
-type LastLock struct{}
-
-// BeginProgram is the v2 whole-transaction frame: name, local
+// BeginProgram is the whole-transaction frame: name, local
 // declarations and the complete operation list in one message, so a
-// transaction costs one frame read and one decode instead of one per
-// operation. It is framed with Version2; everything else on the
-// connection (including replies) stays v1. Ops reuse the v1 message
-// type bytes as operation tags, each followed by the same body encoding
-// as the corresponding per-operation message.
+// transaction costs one frame read and one decode. Each op is a tag
+// byte followed by its fields.
 type BeginProgram struct {
 	Name   string
 	Locals []LocalDecl
 	Ops    []txn.Op
 }
-
-// Commit ends the program and asks the server to execute it.
-type Commit struct{}
 
 // Stats requests a counter snapshot.
 type Stats struct{}
@@ -293,7 +216,8 @@ type RolledBack struct {
 	Lost        int64
 }
 
-// Error reports a failed request.
+// Error reports a failed request. A message longer than MaxString is
+// truncated to MaxString bytes when encoded.
 type Error struct {
 	Code ErrCode
 	Msg  string
@@ -303,30 +227,6 @@ type Error struct {
 type StatsReply struct{ Counters []Counter }
 
 // Type implementations.
-
-// Type implements Msg.
-func (Begin) Type() Type { return TBegin }
-
-// Type implements Msg.
-func (Lock) Type() Type { return TLock }
-
-// Type implements Msg.
-func (Unlock) Type() Type { return TUnlock }
-
-// Type implements Msg.
-func (Read) Type() Type { return TRead }
-
-// Type implements Msg.
-func (Write) Type() Type { return TWrite }
-
-// Type implements Msg.
-func (Compute) Type() Type { return TCompute }
-
-// Type implements Msg.
-func (LastLock) Type() Type { return TLastLock }
-
-// Type implements Msg.
-func (Commit) Type() Type { return TCommit }
 
 // Type implements Msg.
 func (BeginProgram) Type() Type { return TBeginProgram }
@@ -346,12 +246,124 @@ func (Error) Type() Type { return TError }
 // Type implements Msg.
 func (StatsReply) Type() Type { return TStatsReply }
 
-// ErrProtocol wraps every decode failure, so transports can distinguish
-// protocol corruption from I/O errors.
+// ErrProtocol wraps every decode failure, and every encode failure
+// caused by a message the decoder would refuse, so transports can
+// distinguish protocol violations from I/O errors.
 var ErrProtocol = errors.New("wire: protocol error")
 
 func protoErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrProtocol, fmt.Sprintf(format, args...))
+}
+
+// --- encoder-side limits ---
+
+func checkString(what, s string) error {
+	if len(s) > MaxString {
+		return protoErr("%s of %d bytes exceeds %d", what, len(s), MaxString)
+	}
+	return nil
+}
+
+func checkLocals(locals []LocalDecl) error {
+	if len(locals) > MaxLocals {
+		return protoErr("%d locals exceeds %d", len(locals), MaxLocals)
+	}
+	for _, l := range locals {
+		if err := checkString("local name", l.Name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkExpr applies the decoder's per-expression node budget and depth
+// bound (see decoder.expr) to e.
+func checkExpr(e value.Expr, depth int, budget *int) error {
+	if depth > MaxExprDepth {
+		return protoErr("expression deeper than %d", MaxExprDepth)
+	}
+	*budget--
+	if *budget < 0 {
+		return protoErr("expression larger than %d nodes", MaxExprNodes)
+	}
+	switch x := e.(type) {
+	case value.Const:
+		return nil
+	case value.Local:
+		return checkString("local name", string(x))
+	case value.Binary:
+		if x.Op < 0 || x.Op > value.OpMax {
+			return protoErr("unknown operator %d", x.Op)
+		}
+		if err := checkExpr(x.L, depth+1, budget); err != nil {
+			return err
+		}
+		return checkExpr(x.R, depth+1, budget)
+	default:
+		return protoErr("cannot encode expression type %T", e)
+	}
+}
+
+// check reports the first decoder limit bp exceeds.
+func (bp BeginProgram) check() error {
+	if err := checkString("program name", bp.Name); err != nil {
+		return err
+	}
+	if err := checkLocals(bp.Locals); err != nil {
+		return err
+	}
+	if len(bp.Ops) > MaxOps {
+		return protoErr("program of %d ops exceeds %d", len(bp.Ops), MaxOps)
+	}
+	for i := range bp.Ops {
+		op := &bp.Ops[i]
+		var err error
+		switch op.Kind {
+		case txn.OpLockS, txn.OpLockX, txn.OpUnlock:
+			err = checkString("entity name", op.Entity)
+		case txn.OpRead:
+			if err = checkString("entity name", op.Entity); err == nil {
+				err = checkString("local name", op.Local)
+			}
+		case txn.OpWrite, txn.OpCompute:
+			name, what := op.Entity, "entity name"
+			if op.Kind == txn.OpCompute {
+				name, what = op.Local, "local name"
+			}
+			if err = checkString(what, name); err == nil {
+				budget := MaxExprNodes
+				err = checkExpr(op.Expr, 0, &budget)
+			}
+		case txn.OpDeclareLastLock, txn.OpCommit:
+		default:
+			err = protoErr("cannot encode op kind %v", op.Kind)
+		}
+		if err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// check reports the first decoder limit m exceeds. Error needs no
+// check: its message is truncated instead.
+func check(m Msg) error {
+	switch x := m.(type) {
+	case BeginProgram:
+		return x.check()
+	case Committed:
+		return checkLocals(x.Locals)
+	case StatsReply:
+		if len(x.Counters) > MaxCounters {
+			return protoErr("%d counters exceeds %d", len(x.Counters), MaxCounters)
+		}
+		for _, c := range x.Counters {
+			if err := checkString("counter name", c.Name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // --- encoding primitives ---
@@ -369,23 +381,19 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendExpr(b []byte, e value.Expr) ([]byte, error) {
+// appendExpr encodes an expression already checked by checkExpr.
+func appendExpr(b []byte, e value.Expr) []byte {
 	switch x := e.(type) {
 	case value.Const:
 		b = append(b, 0)
-		return appendVarint(b, int64(x)), nil
+		return appendVarint(b, int64(x))
 	case value.Local:
 		b = append(b, 1)
-		return appendString(b, string(x)), nil
-	case value.Binary:
-		b = append(b, 2, byte(x.Op))
-		b, err := appendExpr(b, x.L)
-		if err != nil {
-			return nil, err
-		}
-		return appendExpr(b, x.R)
+		return appendString(b, string(x))
 	default:
-		return nil, fmt.Errorf("wire: cannot encode expression type %T", e)
+		bin := e.(value.Binary)
+		b = appendExpr(append(b, 2, byte(bin.Op)), bin.L)
+		return appendExpr(b, bin.R)
 	}
 }
 
@@ -545,10 +553,8 @@ func (d *decoder) locals(max int) ([]LocalDecl, error) {
 	return out, nil
 }
 
-// ops decodes a BeginProgram operation list. Each operation gets the
-// same expression budget a standalone v1 message would, so shipping a
-// program in one frame does not tighten (or loosen) the per-operation
-// limits.
+// ops decodes a BeginProgram operation list. Each operation's
+// expression gets its own MaxExprNodes budget.
 func (d *decoder) ops(max int) ([]txn.Op, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -567,8 +573,8 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			return nil, err
 		}
 		var op txn.Op
-		switch Type(tag) {
-		case TLock:
+		switch tag {
+		case opLock:
 			mode, err := d.byte()
 			if err != nil {
 				return nil, err
@@ -583,12 +589,12 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
-		case TUnlock:
+		case opUnlock:
 			op.Kind = txn.OpUnlock
 			if op.Entity, err = d.name(); err != nil {
 				return nil, err
 			}
-		case TRead:
+		case opRead:
 			op.Kind = txn.OpRead
 			if op.Entity, err = d.name(); err != nil {
 				return nil, err
@@ -596,7 +602,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Local, err = d.name(); err != nil {
 				return nil, err
 			}
-		case TWrite:
+		case opWrite:
 			op.Kind = txn.OpWrite
 			if op.Entity, err = d.name(); err != nil {
 				return nil, err
@@ -605,7 +611,7 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Expr, err = d.expr(0, &budget); err != nil {
 				return nil, err
 			}
-		case TCompute:
+		case opCompute:
 			op.Kind = txn.OpCompute
 			if op.Local, err = d.name(); err != nil {
 				return nil, err
@@ -614,9 +620,9 @@ func (d *decoder) ops(max int) ([]txn.Op, error) {
 			if op.Expr, err = d.expr(0, &budget); err != nil {
 				return nil, err
 			}
-		case TLastLock:
+		case opLastLock:
 			op.Kind = txn.OpDeclareLastLock
-		case TCommit:
+		case opCommit:
 			op.Kind = txn.OpCommit
 		default:
 			return nil, protoErr("unknown op tag %d", tag)
@@ -633,58 +639,23 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// --- message codec ---
+// --- frame codec ---
 
-// Encode serializes m into a complete frame (length prefix included).
-func Encode(m Msg) ([]byte, error) {
-	return AppendMsg(nil, m)
-}
-
-// AppendMsg appends m's complete frame (length prefix included) to dst
-// and returns the extended slice. It is Encode without the allocation:
-// a batching writer encodes many frames into one reused buffer and
-// issues a single write.
-func AppendMsg(dst []byte, m Msg) ([]byte, error) {
-	ver := Version
-	if m.Type() == TBeginProgram {
-		ver = Version2
-	}
-	start := len(dst)
-	body, err := appendMsgBody(append(dst, 0, 0, 0, 0, ver), m)
-	if err != nil {
-		return nil, err
-	}
-	return finishFrame(body, start)
-}
-
-// TaggableType reports whether t may travel inside a v3 stream-tagged
-// frame: whole-program submissions and counter requests from the
-// client, verdicts and notifications from the server. The stateful v1
-// per-operation sequence (Begin..Commit) cannot interleave with other
-// streams and is excluded.
-func TaggableType(t Type) bool {
-	switch t {
-	case TBeginProgram, TStats, TCommitted, TRolledBack, TError, TStatsReply:
-		return true
-	}
-	return false
-}
-
-// Frame is one decoded frame plus its stream routing: Tagged reports a
-// v3 frame, in which case Stream carries the client-chosen stream ID.
-// Untagged (v1/v2) frames decode with Stream zero.
+// Frame is one decoded frame: the stream it is addressed to and its
+// message.
 type Frame struct {
 	Stream uint32
-	Tagged bool
 	Msg    Msg
 }
 
-// AppendTagged appends a complete v3 frame tagging m with stream to dst
-// and returns the extended slice — the multiplexed counterpart of
-// AppendMsg. It fails for message types that may not be tagged.
+// AppendTagged appends m's complete frame (length prefix included),
+// addressed to stream, to dst and returns the extended slice. A
+// batching writer encodes many frames into one reused buffer and issues
+// a single write. It fails, with an error wrapping ErrProtocol, for a
+// message the decoder would refuse.
 func AppendTagged(dst []byte, stream uint32, m Msg) ([]byte, error) {
-	if !TaggableType(m.Type()) {
-		return nil, fmt.Errorf("wire: %s cannot be stream-tagged", m.Type())
+	if err := check(m); err != nil {
+		return nil, err
 	}
 	start := len(dst)
 	body := appendUvarint(append(dst, 0, 0, 0, 0, Version3), uint64(stream))
@@ -695,7 +666,13 @@ func AppendTagged(dst []byte, stream uint32, m Msg) ([]byte, error) {
 	return finishFrame(body, start)
 }
 
-// EncodeTagged serializes m into a complete v3 frame tagged with stream.
+// AppendMsg appends m's frame on stream 0, the connection's own stream
+// (see the package comment).
+func AppendMsg(dst []byte, m Msg) ([]byte, error) {
+	return AppendTagged(dst, 0, m)
+}
+
+// EncodeTagged serializes m into a complete frame addressed to stream.
 func EncodeTagged(stream uint32, m Msg) ([]byte, error) {
 	return AppendTagged(nil, stream, m)
 }
@@ -705,49 +682,18 @@ func EncodeTagged(stream uint32, m Msg) ([]byte, error) {
 func finishFrame(body []byte, start int) ([]byte, error) {
 	payload := len(body) - start - 4
 	if payload > MaxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", payload)
+		return nil, protoErr("frame of %d bytes exceeds %d", payload, MaxFrame)
 	}
 	binary.BigEndian.PutUint32(body[start:start+4], uint32(payload))
 	return body, nil
 }
 
 // appendMsgBody appends m's type byte and field encoding (everything
-// after the version prefix) to dst. Shared by the v1/v2 and v3 framings
-// so a tagged message's body is byte-identical to its untagged one.
+// after the stream ID) to dst. m has passed check.
 func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 	body := append(dst, byte(m.Type()))
-	var err error
 	switch x := m.(type) {
-	case Begin:
-		body = appendString(body, x.Name)
-		body = appendUvarint(body, uint64(len(x.Locals)))
-		for _, l := range x.Locals {
-			body = appendString(body, l.Name)
-			body = appendVarint(body, l.Val)
-		}
-	case Lock:
-		mode := byte(0)
-		if x.Exclusive {
-			mode = 1
-		}
-		body = append(body, mode)
-		body = appendString(body, x.Entity)
-	case Unlock:
-		body = appendString(body, x.Entity)
-	case Read:
-		body = appendString(body, x.Entity)
-		body = appendString(body, x.Local)
-	case Write:
-		body = appendString(body, x.Entity)
-		if body, err = appendExpr(body, x.Expr); err != nil {
-			return nil, err
-		}
-	case Compute:
-		body = appendString(body, x.Local)
-		if body, err = appendExpr(body, x.Expr); err != nil {
-			return nil, err
-		}
-	case LastLock, Commit, Stats:
+	case Stats:
 		// no body
 	case BeginProgram:
 		body = appendString(body, x.Name)
@@ -758,9 +704,7 @@ func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 		}
 		body = appendUvarint(body, uint64(len(x.Ops)))
 		for _, op := range x.Ops {
-			if body, err = appendOp(body, op); err != nil {
-				return nil, err
-			}
+			body = appendOp(body, op)
 		}
 	case Committed:
 		body = appendVarint(body, x.Txn)
@@ -782,7 +726,7 @@ func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 		body = appendVarint(body, x.Lost)
 	case Error:
 		body = append(body, byte(x.Code))
-		body = appendString(body, x.Msg)
+		body = appendString(body, x.Msg[:min(len(x.Msg), MaxString)])
 	case StatsReply:
 		body = appendUvarint(body, uint64(len(x.Counters)))
 		for _, c := range x.Counters {
@@ -790,94 +734,42 @@ func appendMsgBody(dst []byte, m Msg) ([]byte, error) {
 			body = appendVarint(body, c.Val)
 		}
 	default:
-		return nil, fmt.Errorf("wire: cannot encode message type %T", m)
+		return nil, protoErr("cannot encode message type %T", m)
 	}
 	return body, nil
 }
 
-// appendOp encodes one program operation for a BeginProgram body: the
-// v1 message type byte as tag, then the same field encoding as the
-// corresponding per-operation message.
-func appendOp(b []byte, op txn.Op) ([]byte, error) {
+// appendOp encodes one checked program operation for a BeginProgram
+// body: its tag byte, then its fields.
+func appendOp(b []byte, op txn.Op) []byte {
 	switch op.Kind {
 	case txn.OpLockS:
-		return appendString(append(b, byte(TLock), 0), op.Entity), nil
+		return appendString(append(b, opLock, 0), op.Entity)
 	case txn.OpLockX:
-		return appendString(append(b, byte(TLock), 1), op.Entity), nil
+		return appendString(append(b, opLock, 1), op.Entity)
 	case txn.OpUnlock:
-		return appendString(append(b, byte(TUnlock)), op.Entity), nil
+		return appendString(append(b, opUnlock), op.Entity)
 	case txn.OpRead:
-		return appendString(appendString(append(b, byte(TRead)), op.Entity), op.Local), nil
+		return appendString(appendString(append(b, opRead), op.Entity), op.Local)
 	case txn.OpWrite:
-		return appendExpr(appendString(append(b, byte(TWrite)), op.Entity), op.Expr)
+		return appendExpr(appendString(append(b, opWrite), op.Entity), op.Expr)
 	case txn.OpCompute:
-		return appendExpr(appendString(append(b, byte(TCompute)), op.Local), op.Expr)
+		return appendExpr(appendString(append(b, opCompute), op.Local), op.Expr)
 	case txn.OpDeclareLastLock:
-		return append(b, byte(TLastLock)), nil
-	case txn.OpCommit:
-		return append(b, byte(TCommit)), nil
-	default:
-		return nil, fmt.Errorf("wire: cannot encode op kind %v", op.Kind)
+		return append(b, opLastLock)
+	default: // txn.OpCommit
+		return append(b, opCommit)
 	}
 }
 
-// WriteMsg frames and writes m, returning the bytes written.
-func WriteMsg(w io.Writer, m Msg) (int, error) {
-	frame, err := Encode(m)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(frame)
-}
-
-// Decode parses one payload (the frame with its length prefix already
-// stripped). It accepts only v1 and v2 frames; a transport that must
-// also accept stream-tagged v3 frames uses DecodeFrame.
-func Decode(payload []byte) (Msg, error) {
-	if len(payload) < 2 {
-		return nil, protoErr("payload of %d bytes", len(payload))
-	}
-	switch payload[0] {
-	case Version:
-		if Type(payload[1]) == TBeginProgram {
-			return nil, protoErr("%s requires a version-%d frame", TBeginProgram, Version2)
-		}
-	case Version2:
-		if Type(payload[1]) != TBeginProgram {
-			return nil, protoErr("version-%d frame carries %s, only %s allowed", Version2, Type(payload[1]), TBeginProgram)
-		}
-	default:
-		return nil, protoErr("version %d, want %d or %d", payload[0], Version, Version2)
-	}
-	d := &decoder{b: payload[2:]}
-	m, err := decodeMsg(Type(payload[1]), d)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeFrame parses one payload of any protocol version: v1/v2 frames
-// decode exactly as Decode does (Tagged false, Stream zero), v3 frames
-// additionally yield their stream tag.
+// DecodeFrame parses one payload (the frame with its length prefix
+// already stripped).
 func DecodeFrame(payload []byte) (Frame, error) {
 	if len(payload) < 1 {
 		return Frame{}, protoErr("payload of %d bytes", len(payload))
 	}
-	switch payload[0] {
-	case Version, Version2:
-		m, err := Decode(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Msg: m}, nil
-	case Version3:
-	default:
-		return Frame{}, protoErr("version %d, want %d, %d or %d",
-			payload[0], Version, Version2, Version3)
+	if payload[0] != Version3 {
+		return Frame{}, protoErr("version %d, want %d", payload[0], Version3)
 	}
 	d := &decoder{b: payload[1:]}
 	stream, err := d.uvarint()
@@ -891,9 +783,6 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	if !TaggableType(Type(tag)) {
-		return Frame{}, protoErr("%s cannot be stream-tagged", Type(tag))
-	}
 	m, err := decodeMsg(Type(tag), d)
 	if err != nil {
 		return Frame{}, err
@@ -901,78 +790,15 @@ func DecodeFrame(payload []byte) (Frame, error) {
 	if err := d.done(); err != nil {
 		return Frame{}, err
 	}
-	return Frame{Stream: uint32(stream), Tagged: true, Msg: m}, nil
+	return Frame{Stream: uint32(stream), Msg: m}, nil
 }
 
 // decodeMsg decodes the fields of one message of type t from d (the
-// version prefix and type byte already consumed). Shared by the v1/v2
-// and v3 framings.
+// version, stream ID and type byte already consumed).
 func decodeMsg(t Type, d *decoder) (Msg, error) {
 	var m Msg
 	var err error
 	switch t {
-	case TBegin:
-		var x Begin
-		if x.Name, err = d.string(); err != nil {
-			return nil, err
-		}
-		if x.Locals, err = d.locals(MaxLocals); err != nil {
-			return nil, err
-		}
-		m = x
-	case TLock:
-		var x Lock
-		mode, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if mode > 1 {
-			return nil, protoErr("unknown lock mode %d", mode)
-		}
-		x.Exclusive = mode == 1
-		if x.Entity, err = d.name(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TUnlock:
-		var x Unlock
-		if x.Entity, err = d.name(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TRead:
-		var x Read
-		if x.Entity, err = d.name(); err != nil {
-			return nil, err
-		}
-		if x.Local, err = d.name(); err != nil {
-			return nil, err
-		}
-		m = x
-	case TWrite:
-		var x Write
-		if x.Entity, err = d.name(); err != nil {
-			return nil, err
-		}
-		budget := MaxExprNodes
-		if x.Expr, err = d.expr(0, &budget); err != nil {
-			return nil, err
-		}
-		m = x
-	case TCompute:
-		var x Compute
-		if x.Local, err = d.name(); err != nil {
-			return nil, err
-		}
-		budget := MaxExprNodes
-		if x.Expr, err = d.expr(0, &budget); err != nil {
-			return nil, err
-		}
-		m = x
-	case TLastLock:
-		m = LastLock{}
-	case TCommit:
-		m = Commit{}
 	case TStats:
 		m = Stats{}
 	case TBeginProgram:
@@ -1052,17 +878,8 @@ func decodeMsg(t Type, d *decoder) (Msg, error) {
 	return m, nil
 }
 
-// ReadMsg reads one frame from r and decodes it, returning the message
-// and the total bytes consumed. I/O failures are returned as-is;
-// malformed content is reported wrapped in ErrProtocol.
-func ReadMsg(r io.Reader) (Msg, int, error) {
-	return (&Reader{r: r}).ReadMsg()
-}
-
-// ReadFrame reads one frame of any protocol version from r and decodes
-// it — the demultiplexing transport's counterpart of ReadMsg. I/O
-// failures are returned as-is; malformed content is reported wrapped in
-// ErrProtocol.
+// ReadFrame reads one frame from r and decodes it. I/O failures are
+// returned as-is; malformed content is reported wrapped in ErrProtocol.
 func ReadFrame(r io.Reader) (Frame, int, error) {
 	return (&Reader{r: r}).ReadFrame()
 }
@@ -1080,17 +897,6 @@ type Reader struct {
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
-}
-
-// ReadMsg is the package-level ReadMsg over the Reader's buffer.
-func (rd *Reader) ReadMsg() (Msg, int, error) {
-	defer rd.release()
-	payload, n, err := rd.readPayload()
-	if err != nil {
-		return nil, n, err
-	}
-	m, err := Decode(payload)
-	return m, n, err
 }
 
 // ReadFrame is the package-level ReadFrame over the Reader's buffer.
@@ -1155,70 +961,30 @@ func (rd *Reader) release() {
 	}
 }
 
-// --- program <-> message translation ---
+// --- program <-> frame translation ---
 
-// ProgramMsgs translates a transaction program into its protocol
-// message sequence: Begin, one message per operation, Commit. Locals
-// are emitted in sorted order so equal programs encode identically.
-func ProgramMsgs(p *txn.Program) ([]Msg, error) {
-	locals := make([]LocalDecl, 0, len(p.Locals))
-	for name, v := range p.Locals {
-		locals = append(locals, LocalDecl{Name: name, Val: v})
-	}
-	sort.Slice(locals, func(i, j int) bool { return locals[i].Name < locals[j].Name })
-	out := []Msg{Begin{Name: p.Name, Locals: locals}}
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case txn.OpLockS:
-			out = append(out, Lock{Entity: op.Entity})
-		case txn.OpLockX:
-			out = append(out, Lock{Entity: op.Entity, Exclusive: true})
-		case txn.OpUnlock:
-			out = append(out, Unlock{Entity: op.Entity})
-		case txn.OpRead:
-			out = append(out, Read{Entity: op.Entity, Local: op.Local})
-		case txn.OpWrite:
-			out = append(out, Write{Entity: op.Entity, Expr: op.Expr})
-		case txn.OpCompute:
-			out = append(out, Compute{Local: op.Local, Expr: op.Expr})
-		case txn.OpDeclareLastLock:
-			out = append(out, LastLock{})
-		case txn.OpCommit:
-			out = append(out, Commit{})
-		default:
-			return nil, fmt.Errorf("wire: cannot encode op kind %v", op.Kind)
-		}
-	}
-	return out, nil
-}
-
-// ProgramFrame translates a transaction program into the single v2
-// BeginProgram frame — the batched alternative to ProgramMsgs. Locals
-// are emitted in sorted order so equal programs encode identically.
+// ProgramFrame translates a transaction program into its BeginProgram
+// frame. Locals are emitted in sorted order so equal programs encode
+// identically. A program the decoder would refuse — a name longer than
+// MaxString, too many locals or ops, an expression over its node or
+// depth budget — fails here with an error wrapping ErrProtocol, before
+// anything is sent.
 func ProgramFrame(p *txn.Program) (BeginProgram, error) {
-	if len(p.Ops) > MaxOps {
-		return BeginProgram{}, fmt.Errorf("wire: program of %d ops exceeds %d", len(p.Ops), MaxOps)
-	}
 	locals := make([]LocalDecl, 0, len(p.Locals))
 	for name, v := range p.Locals {
 		locals = append(locals, LocalDecl{Name: name, Val: v})
 	}
 	sort.Slice(locals, func(i, j int) bool { return locals[i].Name < locals[j].Name })
-	for _, op := range p.Ops {
-		switch op.Kind {
-		case txn.OpLockS, txn.OpLockX, txn.OpUnlock, txn.OpRead, txn.OpWrite,
-			txn.OpCompute, txn.OpDeclareLastLock, txn.OpCommit:
-		default:
-			return BeginProgram{}, fmt.Errorf("wire: cannot encode op kind %v", op.Kind)
-		}
+	bp := BeginProgram{Name: p.Name, Locals: locals, Ops: p.Ops}
+	if err := bp.check(); err != nil {
+		return BeginProgram{}, err
 	}
-	return BeginProgram{Name: p.Name, Locals: locals, Ops: p.Ops}, nil
+	return bp, nil
 }
 
-// Program validates and returns the shipped program — the whole-frame
-// equivalent of feeding an Assembler and calling its Program. The same
-// §2 static rules apply; a missing trailing Commit is appended exactly
-// as txn.Builder.Build would.
+// Program validates and returns the shipped program. The §2 static
+// rules apply; a missing trailing Commit is appended exactly as
+// txn.Builder.Build would.
 func (bp BeginProgram) Program() (*txn.Program, error) {
 	c, err := bp.Checked()
 	return c.Program(), err
@@ -1248,81 +1014,4 @@ func (bp BeginProgram) Checked() (txn.Checked, error) {
 		p.Ops = append(p.Ops[:n:n], txn.Op{Kind: txn.OpCommit})
 	}
 	return txn.Check(p)
-}
-
-// Assembler rebuilds a transaction program from its protocol messages.
-// Feed returns done=true when Commit arrives; Checked then returns the
-// validated program.
-type Assembler struct {
-	b    *txn.Builder
-	ops  int
-	done bool
-	err  error
-}
-
-// NewAssembler starts assembling from a Begin message.
-func NewAssembler(b Begin) *Assembler {
-	a := &Assembler{b: txn.NewProgram(b.Name)}
-	if len(b.Locals) > MaxLocals {
-		a.err = protoErr("%d locals exceeds %d", len(b.Locals), MaxLocals)
-		return a
-	}
-	for _, l := range b.Locals {
-		a.b.Local(l.Name, l.Val)
-	}
-	return a
-}
-
-// Feed consumes one operation message. It reports done=true on Commit.
-func (a *Assembler) Feed(m Msg) (done bool, err error) {
-	if a.err != nil {
-		return false, a.err
-	}
-	if a.done {
-		return true, protoErr("operation after commit")
-	}
-	a.ops++
-	if a.ops > MaxOps {
-		a.err = protoErr("program exceeds %d operations", MaxOps)
-		return false, a.err
-	}
-	switch x := m.(type) {
-	case Lock:
-		if x.Exclusive {
-			a.b.LockX(x.Entity)
-		} else {
-			a.b.LockS(x.Entity)
-		}
-	case Unlock:
-		a.b.Unlock(x.Entity)
-	case Read:
-		a.b.Read(x.Entity, x.Local)
-	case Write:
-		a.b.Write(x.Entity, x.Expr)
-	case Compute:
-		a.b.Compute(x.Local, x.Expr)
-	case LastLock:
-		a.b.DeclareLastLock()
-	case Commit:
-		a.done = true
-		return true, nil
-	default:
-		a.err = protoErr("unexpected %s inside transaction", m.Type())
-		return false, a.err
-	}
-	return false, nil
-}
-
-// Checked validates the assembled program and returns it with its
-// analysis from that one validation pass, ready for
-// core.Engine.RegisterChecked. It fails before Commit has been fed or
-// when the program violates the §2 static rules.
-func (a *Assembler) Checked() (txn.Checked, error) {
-	if a.err != nil {
-		return txn.Checked{}, a.err
-	}
-	if !a.done {
-		return txn.Checked{}, protoErr("program not committed")
-	}
-	return a.b.BuildChecked()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -15,38 +16,44 @@ import (
 	"partialrollback/internal/value"
 )
 
+// roundTrip encodes m on stream 9, reads it back through ReadFrame and
+// returns the decoded message.
 func roundTrip(t *testing.T, m Msg) Msg {
 	t.Helper()
-	var buf bytes.Buffer
-	n, err := WriteMsg(&buf, m)
+	frame, err := EncodeTagged(9, m)
 	if err != nil {
-		t.Fatalf("write %T: %v", m, err)
+		t.Fatalf("encode %T: %v", m, err)
 	}
-	if n != buf.Len() {
-		t.Fatalf("write %T reported %d bytes, buffered %d", m, n, buf.Len())
-	}
-	got, rn, err := ReadMsg(&buf)
+	f, n, err := ReadFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatalf("read %T: %v", m, err)
 	}
-	if rn != n {
-		t.Fatalf("read %T consumed %d bytes, wrote %d", m, rn, n)
+	if n != len(frame) {
+		t.Fatalf("read %T consumed %d bytes, wrote %d", m, n, len(frame))
 	}
-	return got
+	if f.Stream != 9 {
+		t.Fatalf("read %T on stream %d, want 9", m, f.Stream)
+	}
+	return f.Msg
 }
 
 func TestRoundTripAllMessages(t *testing.T) {
 	msgs := []Msg{
-		Begin{Name: "T1", Locals: []LocalDecl{{"a", 1}, {"b", -7}}},
-		Begin{Name: "empty"},
-		Lock{Entity: "e0"},
-		Lock{Entity: "e1", Exclusive: true},
-		Unlock{Entity: "e0"},
-		Read{Entity: "e1", Local: "a"},
-		Write{Entity: "e1", Expr: value.Add(value.L("a"), value.C(3))},
-		Compute{Local: "b", Expr: value.Mod(value.Mul(value.L("a"), value.C(-2)), value.C(7))},
-		LastLock{},
-		Commit{},
+		BeginProgram{Name: "empty"},
+		BeginProgram{
+			Name:   "T1",
+			Locals: []LocalDecl{{"a", 1}, {"b", -7}},
+			Ops: []txn.Op{
+				{Kind: txn.OpLockS, Entity: "e0"},
+				{Kind: txn.OpLockX, Entity: "e1"},
+				{Kind: txn.OpRead, Entity: "e1", Local: "a"},
+				{Kind: txn.OpCompute, Local: "b", Expr: value.Mod(value.Mul(value.L("a"), value.C(-2)), value.C(7))},
+				{Kind: txn.OpDeclareLastLock},
+				{Kind: txn.OpWrite, Entity: "e1", Expr: value.Add(value.L("a"), value.C(3))},
+				{Kind: txn.OpUnlock, Entity: "e0"},
+				{Kind: txn.OpCommit},
+			},
+		},
 		Stats{},
 		Committed{Txn: 42, Locals: []LocalDecl{{"a", 9}}, Stats: TxnOutcome{
 			OpsExecuted: 10, OpsLost: 3, Rollbacks: 2, Restarts: 1, Waits: 4}},
@@ -62,6 +69,9 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
+// TestProgramRoundTrip ships a batch of programs the way a multiplexed
+// client does — one frame per program, each on its own stream, all in
+// one buffer — and rebuilds each program from its frame.
 func TestProgramRoundTrip(t *testing.T) {
 	progs := []*txn.Program{
 		sim.TransferProgram("xfer", "e0", "e1", 5, 3),
@@ -75,38 +85,27 @@ func TestProgramRoundTrip(t *testing.T) {
 			Unlock("e1").
 			MustBuild(),
 	}
-	for _, w := range sim.Generate(sim.GenConfig{Txns: 6, Seed: 11, Shape: sim.Mixed, SharedProb: 0.3}).Programs {
-		progs = append(progs, w)
-	}
-	for _, p := range progs {
-		msgs, err := ProgramMsgs(p)
+	progs = append(progs, sim.Generate(sim.GenConfig{Txns: 6, Seed: 11, Shape: sim.Mixed, SharedProb: 0.3}).Programs...)
+	var buf []byte
+	for i, p := range progs {
+		frame, err := ProgramFrame(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		begin, ok := msgs[0].(Begin)
-		if !ok {
-			t.Fatalf("%s: first message is %T", p.Name, msgs[0])
+		if buf, err = AppendTagged(buf, uint32(i+1), frame); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
 		}
-		a := NewAssembler(begin)
-		for i, m := range msgs[1:] {
-			// Exercise the full codec: encode, decode, then feed.
-			frame, err := Encode(m)
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			dm, err := Decode(frame[4:])
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			done, err := a.Feed(dm)
-			if err != nil {
-				t.Fatalf("%s msg %d: %v", p.Name, i, err)
-			}
-			if done != (i == len(msgs)-2) {
-				t.Fatalf("%s msg %d: done=%v", p.Name, i, done)
-			}
+	}
+	rd := NewReader(bytes.NewReader(buf))
+	for i, p := range progs {
+		f, _, err := rd.ReadFrame()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
 		}
-		c, err := a.Checked()
+		if f.Stream != uint32(i+1) {
+			t.Fatalf("%s: stream %d, want %d", p.Name, f.Stream, i+1)
+		}
+		c, err := f.Msg.(BeginProgram).Checked()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -116,9 +115,9 @@ func TestProgramRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProgramFrameRoundTrip pins the v2 path end to end: ProgramFrame →
-// encode → decode → Program must reproduce every program byte-for-byte,
-// and agree exactly with what the v1 Assembler path reconstructs.
+// TestProgramFrameRoundTrip pins the program path end to end:
+// ProgramFrame → encode → decode → Program must reproduce every program
+// exactly.
 func TestProgramFrameRoundTrip(t *testing.T) {
 	progs := []*txn.Program{
 		sim.TransferProgram("xfer", "e0", "e1", 5, 3),
@@ -156,46 +155,31 @@ func TestProgramFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation pins the per-frame version rules: BeginProgram
-// only decodes under Version2, every other type only under Version, and
-// unknown versions are rejected.
+// TestVersionNegotiation pins the version rule: the version byte is
+// the whole negotiation, every frame carries Version3, and the retired
+// versions 1 and 2 — like any other — are refused with an error naming
+// the version wanted.
 func TestVersionNegotiation(t *testing.T) {
-	frame, err := Encode(BeginProgram{Name: "P", Ops: []txn.Op{{Kind: txn.OpCommit}}})
+	frame, err := EncodeTagged(1, BeginProgram{Name: "P", Ops: []txn.Op{{Kind: txn.OpCommit}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[4] != Version2 {
-		t.Fatalf("BeginProgram frame carries version %d, want %d", frame[4], Version2)
+	if frame[4] != Version3 {
+		t.Fatalf("frame carries version %d, want %d", frame[4], Version3)
 	}
-	// Same payload demoted to v1 must be rejected.
-	demoted := append([]byte{}, frame[4:]...)
-	demoted[0] = Version
-	if _, err := Decode(demoted); err == nil {
-		t.Error("v1-framed BeginProgram decoded; want rejection")
-	}
-	// A v1 message promoted to v2 must be rejected.
-	lockFrame, err := Encode(Lock{Entity: "e0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lockFrame[4] != Version {
-		t.Fatalf("Lock frame carries version %d, want %d", lockFrame[4], Version)
-	}
-	promoted := append([]byte{}, lockFrame[4:]...)
-	promoted[0] = Version2
-	if _, err := Decode(promoted); err == nil {
-		t.Error("v2-framed Lock decoded; want rejection")
-	}
-	unknown := append([]byte{}, lockFrame[4:]...)
-	unknown[0] = 9
-	if _, err := Decode(unknown); err == nil {
-		t.Error("version-9 frame decoded; want rejection")
+	for _, ver := range []byte{0, 1, 2, 4, 9} {
+		payload := append([]byte{}, frame[4:]...)
+		payload[0] = ver
+		_, err := DecodeFrame(payload)
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "want 3") {
+			t.Errorf("version-%d frame: got %v, want a protocol error naming version 3", ver, err)
+		}
 	}
 }
 
-// TestAppendMsgBatches pins the batching encoder: frames appended to
-// one buffer must byte-match their individual encodings and decode as a
-// stream.
+// TestAppendMsgBatches pins the connection-level encoder: AppendMsg
+// frames are stream-0 frames, byte-identical to AppendTagged on stream
+// 0, and a batch of them decodes as a stream.
 func TestAppendMsgBatches(t *testing.T) {
 	msgs := []Msg{
 		Committed{Txn: 1, Locals: []LocalDecl{{"a", 9}}},
@@ -208,23 +192,23 @@ func TestAppendMsgBatches(t *testing.T) {
 		if batch, err = AppendMsg(batch, m); err != nil {
 			t.Fatal(err)
 		}
-		frame, err := Encode(m)
+		frame, err := EncodeTagged(0, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		concat = append(concat, frame...)
 	}
 	if !bytes.Equal(batch, concat) {
-		t.Fatalf("batched encoding diverges from per-frame encoding")
+		t.Fatalf("AppendMsg diverges from stream-0 AppendTagged")
 	}
 	r := bytes.NewReader(batch)
 	for i, want := range msgs {
-		got, _, err := ReadMsg(r)
+		got, _, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frame %d: got %#v, want %#v", i, got, want)
+		if got.Stream != 0 || !reflect.DeepEqual(got.Msg, want) {
+			t.Fatalf("frame %d: got %#v, want %#v on stream 0", i, got, want)
 		}
 	}
 	if r.Len() != 0 {
@@ -232,9 +216,8 @@ func TestAppendMsgBatches(t *testing.T) {
 	}
 }
 
-// TestBeginProgramRejectsInvalid mirrors TestAssemblerRejectsInvalid
-// for the v2 path: a protocol-valid frame carrying an invalid program
-// must fail at Program(), not decode.
+// TestBeginProgramRejectsInvalid: a protocol-valid frame carrying an
+// invalid program must fail at Program(), not decode.
 func TestBeginProgramRejectsInvalid(t *testing.T) {
 	bad := []BeginProgram{
 		// Write without a lock.
@@ -253,45 +236,20 @@ func TestBeginProgramRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestAssemblerRejectsInvalid(t *testing.T) {
-	// Write without a lock: protocol-valid messages, invalid program.
-	a := NewAssembler(Begin{Name: "bad", Locals: []LocalDecl{{"x", 0}}})
-	for _, m := range []Msg{Write{Entity: "e0", Expr: value.C(1)}, Commit{}} {
-		if _, err := a.Feed(m); err != nil {
-			t.Fatalf("feed: %v", err)
-		}
-	}
-	if _, err := a.Checked(); err == nil {
-		t.Error("invalid program assembled without error")
-	}
-
-	// Unexpected message kind inside a transaction.
-	a = NewAssembler(Begin{Name: "bad2"})
-	if _, err := a.Feed(Stats{}); !errors.Is(err, ErrProtocol) {
-		t.Errorf("feeding Stats: got %v, want ErrProtocol", err)
-	}
-
-	// Incomplete program.
-	a = NewAssembler(Begin{Name: "bad3"})
-	if _, err := a.Checked(); !errors.Is(err, ErrProtocol) {
-		t.Error("assembling before Commit should fail")
-	}
-}
-
-func TestReadMsgErrors(t *testing.T) {
-	valid, err := Encode(Lock{Entity: "e0", Exclusive: true})
+func TestReadFrameErrors(t *testing.T) {
+	valid, err := EncodeTagged(1, BeginProgram{Name: "P", Ops: []txn.Op{{Kind: txn.OpUnlock, Entity: "e0"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("truncated header", func(t *testing.T) {
-		_, _, err := ReadMsg(bytes.NewReader(valid[:3]))
+		_, _, err := ReadFrame(bytes.NewReader(valid[:3]))
 		if err == nil {
 			t.Error("want error")
 		}
 	})
 	t.Run("truncated payload", func(t *testing.T) {
-		_, _, err := ReadMsg(bytes.NewReader(valid[:len(valid)-2]))
+		_, _, err := ReadFrame(bytes.NewReader(valid[:len(valid)-2]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("got %v, want unexpected EOF", err)
 		}
@@ -299,23 +257,23 @@ func TestReadMsgErrors(t *testing.T) {
 	t.Run("oversize frame", func(t *testing.T) {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-		_, _, err := ReadMsg(bytes.NewReader(hdr[:]))
+		_, _, err := ReadFrame(bytes.NewReader(hdr[:]))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		frame := append([]byte(nil), valid...)
-		frame[4] = Version + 1
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		frame[4] = Version3 + 1
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
 		frame := append([]byte(nil), valid...)
-		frame[5] = 0xEE
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		frame[6] = 0xEE
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
@@ -324,31 +282,117 @@ func TestReadMsgErrors(t *testing.T) {
 		frame := append([]byte(nil), valid...)
 		frame = append(frame, 0x01)
 		binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-		_, _, err := ReadMsg(bytes.NewReader(frame))
+		_, _, err := ReadFrame(bytes.NewReader(frame))
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 	t.Run("truncated body", func(t *testing.T) {
-		// Claimed string longer than the remaining payload.
-		payload := []byte{Version, byte(TUnlock), 0x20, 'a'}
-		if _, err := Decode(payload); !errors.Is(err, ErrProtocol) {
+		// An unlock op whose entity name claims more bytes than remain.
+		payload := []byte{Version3, 1, byte(TBeginProgram), 1, 'P', 0, 1, opUnlock, 0x20, 'a'}
+		if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
 			t.Errorf("got %v, want ErrProtocol", err)
 		}
 	})
 }
 
+// deepExpr nests n additions.
+func deepExpr(n int) value.Expr {
+	e := value.Expr(value.C(1))
+	for i := 0; i < n; i++ {
+		e = value.Add(e, value.C(1))
+	}
+	return e
+}
+
+// TestExprLimits pins the expression budget on both sides of the
+// wire: the decoder refuses an over-deep expression, and the encoder
+// refuses to emit one, accepting exactly the deepest the decoder takes.
 func TestExprLimits(t *testing.T) {
-	deep := value.Expr(value.C(1))
+	writeOf := func(e value.Expr) BeginProgram {
+		return BeginProgram{Name: "w", Ops: []txn.Op{{Kind: txn.OpWrite, Entity: "e0", Expr: e}}}
+	}
+	if _, err := EncodeTagged(1, writeOf(deepExpr(MaxExprDepth+2))); !errors.Is(err, ErrProtocol) {
+		t.Errorf("encoding a deep expression: got %v, want ErrProtocol", err)
+	}
+	if _, err := EncodeTagged(1, writeOf(deepExpr(MaxExprDepth))); err != nil {
+		t.Errorf("encoding an expression at the depth limit: %v", err)
+	}
+
+	// Hand-build the over-deep frame the encoder refuses to make.
+	payload := []byte{Version3, 1, byte(TBeginProgram), 1, 'w', 0, 1, opWrite, 2, 'e', '0'}
 	for i := 0; i < MaxExprDepth+2; i++ {
-		deep = value.Add(deep, value.C(1))
+		payload = append(payload, 2, byte(value.OpAdd))
 	}
-	frame, err := Encode(Write{Entity: "e0", Expr: deep})
-	if err != nil {
-		t.Fatal(err)
+	payload = append(payload, 0, 2)
+	for i := 0; i < MaxExprDepth+2; i++ {
+		payload = append(payload, 0, 2)
 	}
-	if _, err := Decode(frame[4:]); !errors.Is(err, ErrProtocol) {
-		t.Errorf("deep expression: got %v, want ErrProtocol", err)
+	if _, err := DecodeFrame(payload); !errors.Is(err, ErrProtocol) {
+		t.Errorf("decoding a deep expression: got %v, want ErrProtocol", err)
+	}
+}
+
+// TestEncoderEnforcesDecoderLimits: every message the decoder would
+// refuse for size fails to encode, with an error wrapping ErrProtocol,
+// and ProgramFrame refuses such a program before anything is encoded.
+func TestEncoderEnforcesDecoderLimits(t *testing.T) {
+	long := strings.Repeat("n", MaxString+1)
+	// A balanced tree: 9 levels deep, 1023 nodes.
+	wide := value.Expr(value.C(1))
+	for i := 0; i < 9; i++ {
+		wide = value.Add(wide, wide)
+	}
+	manyLocals := make(map[string]int64, MaxLocals+1)
+	for i := 0; i <= MaxLocals; i++ {
+		manyLocals[fmt.Sprintf("l%d", i)] = 0
+	}
+	progs := map[string]*txn.Program{
+		"entity name": {Name: "p", Ops: []txn.Op{{Kind: txn.OpLockX, Entity: long}, {Kind: txn.OpCommit}}},
+		"local name":  {Name: "p", Locals: map[string]int64{long: 0}},
+		"read local":  {Name: "p", Ops: []txn.Op{{Kind: txn.OpRead, Entity: "e0", Local: long}}},
+		"expr local":  {Name: "p", Ops: []txn.Op{{Kind: txn.OpCompute, Local: "x", Expr: value.L(long)}}},
+		"program":     {Name: long},
+		"locals":      {Name: "p", Locals: manyLocals},
+		"ops":         {Name: "p", Ops: make([]txn.Op, MaxOps+1)},
+		"expr depth":  {Name: "p", Ops: []txn.Op{{Kind: txn.OpWrite, Entity: "e0", Expr: deepExpr(MaxExprDepth + 1)}}},
+		"expr nodes":  {Name: "p", Ops: []txn.Op{{Kind: txn.OpCompute, Local: "x", Expr: wide}}},
+	}
+	for name, p := range progs {
+		if _, err := ProgramFrame(p); !errors.Is(err, ErrProtocol) {
+			t.Errorf("ProgramFrame with oversize %s: got %v, want ErrProtocol", name, err)
+		}
+		bp := BeginProgram{Name: p.Name, Ops: p.Ops}
+		for l := range p.Locals {
+			bp.Locals = append(bp.Locals, LocalDecl{Name: l})
+		}
+		if _, err := EncodeTagged(1, bp); !errors.Is(err, ErrProtocol) {
+			t.Errorf("encoding oversize %s: got %v, want ErrProtocol", name, err)
+		}
+	}
+	replies := map[string]Msg{
+		"committed local": Committed{Locals: []LocalDecl{{Name: long}}},
+		"counter name":    StatsReply{Counters: []Counter{{Name: long}}},
+		"counters":        StatsReply{Counters: make([]Counter, MaxCounters+1)},
+	}
+	for name, m := range replies {
+		if _, err := EncodeTagged(1, m); !errors.Is(err, ErrProtocol) {
+			t.Errorf("encoding oversize %s: got %v, want ErrProtocol", name, err)
+		}
+	}
+	// A frame over MaxFrame made of in-limit parts.
+	big := BeginProgram{Name: "p"}
+	for i := 0; i < MaxOps; i++ {
+		big.Ops = append(big.Ops, txn.Op{Kind: txn.OpLockS, Entity: long[:MaxString]})
+	}
+	if _, err := EncodeTagged(1, big); !errors.Is(err, ErrProtocol) {
+		t.Errorf("encoding a frame over MaxFrame: got %v, want ErrProtocol", err)
+	}
+	// Error text is truncated, not refused: a refusal must always reach
+	// its stream.
+	got := roundTrip(t, Error{Code: CodeBadRequest, Msg: long})
+	if e := got.(Error); e.Msg != long[:MaxString] {
+		t.Errorf("long error message decoded to %d bytes, want %d", len(e.Msg), MaxString)
 	}
 }
 
@@ -382,20 +426,21 @@ func TestReaderReusesBufferWithoutAliasing(t *testing.T) {
 		big.Counters = append(big.Counters, Counter{Name: fmt.Sprintf("%0200d", i), Val: int64(i)})
 	}
 	want = append(want[:4:4], append([]Msg{big}, want[4:]...)...)
-	var stream bytes.Buffer
+	var stream []byte
 	for i, m := range want {
-		if _, err := WriteMsg(&stream, m); err != nil {
+		var err error
+		if stream, err = AppendTagged(stream, uint32(i+1), m); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
-	rd := NewReader(&stream)
+	rd := NewReader(bytes.NewReader(stream))
 	var got []Msg
 	for range want {
-		m, _, err := rd.ReadMsg()
+		f, _, err := rd.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, m)
+		got = append(got, f.Msg)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("messages changed after later frames reused the payload buffer")
@@ -413,15 +458,15 @@ func TestReaderSharesNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Encode(frame)
+	enc, err := EncodeTagged(1, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := NewReader(bytes.NewReader(enc)).ReadMsg()
+	f, _, err := NewReader(bytes.NewReader(enc)).ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := m.(BeginProgram)
+	bp := f.Msg.(BeginProgram)
 	if !reflect.DeepEqual(bp, frame) {
 		t.Fatalf("decoded %#v, want %#v", bp, frame)
 	}

@@ -50,9 +50,9 @@ run_one() {
         sleep 0.1
     done
     f="$OUT/${label}_r${trial}.json"
-    "$OUT/prload" -addr "$addr" -clients "$CLIENTS" -txns "$TXNS" \
+    "$OUT/prload" -addr "$addr" -clients "$CLIENTS" -conns "$CLIENTS" -txns "$TXNS" \
         -workload hotspot -db 64 -hot 8 -hotprob 0.8 -locks 4 \
-        -seed 1 -proto 2 -json "$f" >/dev/null
+        -seed 1 -json "$f" >/dev/null
     kill $spid 2>/dev/null || true
     wait $spid 2>/dev/null || true
     echo "$label trial=$trial:" \

@@ -2,8 +2,8 @@
 # E20 connection-efficiency benchmark: the multiplexing claim. At equal
 # total concurrency (CONC in-flight transactions), compare
 #
-#   baseline  proto 2, one stream per connection: CONC sockets
-#   mux       proto 3, CONC streams multiplexed over CONNS sockets
+#   baseline  one stream per connection: CONC sockets
+#   mux       CONC streams multiplexed over CONNS sockets
 #
 # on txn/s-per-socket (throughputTxnPerSec / openSockets), the ROADMAP
 # metric for "thousands of transactions per socket, not per
@@ -58,8 +58,8 @@ run_one() {
 
 t=1
 while [ "$t" -le "$TRIALS" ]; do
-    run_one baseline "$t" -proto 2 -clients "$CONC"
-    run_one mux "$t" -proto 3 -conns "$CONNS" -streams "$CONC" -clients "$CONC"
+    run_one baseline "$t" -conns "$CONC" -clients "$CONC"
+    run_one mux "$t" -conns "$CONNS" -clients "$CONC"
     t=$((t + 1))
 done
 

@@ -69,7 +69,7 @@ run_one() {
     # close, so the measured recovery includes torn-tail handling).
     start_server "$OUT/fill_$label.log" -wal "$wal" "$@"
     "$OUT/prload" -addr "$addr" -workload counter -counters 8 \
-        -clients "$CLIENTS" -txns $((commits / CLIENTS)) -proto 2 -seed 21 \
+        -clients "$CLIENTS" -conns "$CLIENTS" -txns $((commits / CLIENTS)) -seed 21 \
         >"$OUT/load_$label.log" 2>&1
     kill -9 "$spid"
     wait "$spid" 2>/dev/null || true

@@ -4,7 +4,7 @@
 # given GOMAXPROCS (pinning how many OS threads may run engine code)
 # and -stripes (1 = the classic single-mutex engine, >1 = striped lock
 # table with the CAS shared fast path), the same seeded hotspot load is
-# driven through the v3 multiplexed protocol, and the client's -json
+# driven as streams multiplexed over 4 sockets, and the client's -json
 # report supplies throughput and latency.
 #
 # The claim is conditional on cores: with GOMAXPROCS=1 every cell must
@@ -60,7 +60,7 @@ for gmp in $GMPS; do
         start_server "$gmp" "$s" "$OUT/server_$label.log"
         "$OUT/prload" -addr "$addr" -workload hotspot \
             -db 64 -hot 8 -hotprob 0.6 -locks 4 -pad 2 \
-            -clients "$CLIENTS" -txns "$TXNS" -proto 3 -conns 4 -seed 22 \
+            -clients "$CLIENTS" -txns "$TXNS" -conns 4 -seed 22 \
             -json "$OUT/report_$label.json" \
             >"$OUT/load_$label.log" 2>&1
         kill "$spid" 2>/dev/null || true
@@ -83,7 +83,7 @@ cat >"$OUT/BENCH_E22.json" <<EOF
  "id": "E22",
  "title": "Intra-shard parallelism: throughput vs GOMAXPROCS x lock-table stripes",
  "method": {
-  "workload": "hotspot db=64 hot=8 hotprob=0.6 locks=4 pad=2 clients=$CLIENTS txns/client=$TXNS proto=3 conns=4 seed=22",
+  "workload": "hotspot db=64 hot=8 hotprob=0.6 locks=4 pad=2 clients=$CLIENTS txns/client=$TXNS conns=4 seed=22",
   "server": "prserver -entities 64 -accounts 0 -shards 1 -stripes {$STRIPES} -burst -1, GOMAXPROCS in {$GMPS}",
   "machine_cpus": $NUMCPU,
   "note": "stripes=1 is the classic single-mutex engine; striped cells route uncontended steps through the engine read lock (shared grants one CAS). With GOMAXPROCS=1, and on any single-core machine, every cell is expected to be parity — the striped engine must not cost throughput. The scaling claim (striped > stripes=1 at equal GOMAXPROCS) only applies when machine_cpus > 1; see EXPERIMENTS.md E22."

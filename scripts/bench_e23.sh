@@ -72,7 +72,7 @@ start_server "$OUT/server_paged.log" \
 echo "paged server on $addr (admin $admin_addr, $ENTITIES entities, pool $POOL pages)"
 
 "$OUT/prload" -addr "$addr" -workload counter -entities "$ENTITIES" \
-    -clients "$CLIENTS" -txns "$TXNS" -proto 3 -conns 4 -seed 23 \
+    -clients "$CLIENTS" -txns "$TXNS" -conns 4 -seed 23 \
     -admin "$admin_addr" -json "$OUT/report_paged.json" \
     >"$OUT/load_paged.log" 2>&1 &
 load_pid=$!
@@ -92,7 +92,7 @@ samples=${samples%,}
 
 COMMITTED=$(json_num "$OUT/report_paged.json" committed)
 "$OUT/prload" -addr "$addr" -workload counter -entities "$ENTITIES" \
-    -verify-sum-min "$COMMITTED" -proto 2
+    -verify-sum-min "$COMMITTED"
 kill "$spid" 2>/dev/null || true
 wait "$spid" 2>/dev/null || true
 
@@ -114,7 +114,7 @@ parity() {
     start_server "$OUT/server_$plabel.log" -entities 64 -stripes 8 "$@"
     "$OUT/prload" -addr "$addr" -workload hotspot \
         -db 64 -hot 8 -hotprob 0.6 -locks 4 -pad 2 \
-        -clients "$CLIENTS" -txns "$PAR_TXNS" -proto 3 -conns 4 -seed 22 \
+        -clients "$CLIENTS" -txns "$PAR_TXNS" -conns 4 -seed 22 \
         -json "$OUT/report_$plabel.json" \
         >"$OUT/load_$plabel.log" 2>&1
     kill "$spid" 2>/dev/null || true
@@ -134,8 +134,8 @@ cat >"$OUT/BENCH_E23.json" <<EOF
  "id": "E23",
  "title": "Beyond-RAM entity storage: bounded memory out-of-core, throughput parity resident",
  "method": {
-  "out_of_core": "prserver -store paged -entities $ENTITIES -pool-pages $POOL -page-size 4096 (entity set ~$((ENTITIES / 504 / POOL))x pool); counter workload clients=$CLIENTS txns/client=$TXNS proto=3 seed=23; exact -verify-sum-min after; GOMEMLIMIT=256MiB; Go heap sampled from pr_runtime_heap_alloc_bytes every 0.5s",
-  "parity": "E22 hotspot config (db=64 hot=8 hotprob=0.6 locks=4 pad=2, clients=$CLIENTS txns/client=$PAR_TXNS proto=3 seed=22, -stripes 8): -store mem vs -store paged with pool (64 pages) >> working set (1 page)",
+  "out_of_core": "prserver -store paged -entities $ENTITIES -pool-pages $POOL -page-size 4096 (entity set ~$((ENTITIES / 504 / POOL))x pool); counter workload clients=$CLIENTS txns/client=$TXNS seed=23; exact -verify-sum-min after; GOMEMLIMIT=256MiB; Go heap sampled from pr_runtime_heap_alloc_bytes every 0.5s",
+  "parity": "E22 hotspot config (db=64 hot=8 hotprob=0.6 locks=4 pad=2, clients=$CLIENTS txns/client=$PAR_TXNS seed=22, -stripes 8): -store mem vs -store paged with pool (64 pages) >> working set (1 page)",
   "machine_cpus": $NUMCPU,
   "note": "The bounded-memory claim is the heap plateau: heap_alloc_samples must level out near the pool+runtime baseline instead of growing with the entity set ($ENTITIES entities would be ~800KB resident as slices but the paged heap file keeps them on disk). Miss latency distribution is in the adminMetrics of report_paged.json (pr_store_read_miss_seconds)."
  },

@@ -28,13 +28,16 @@ go test -race -count=1 -run 'TestStripedSequentialRegression|TestStripedShardedS
 GOMAXPROCS=4 go test -race -count=1 -run 'TestConcurrentStriped' ./internal/runtime/
 
 # Burst stepping's correctness surface, likewise explicit: the burst=1
-# byte-identity regression, the serializability property sweep at every
-# burst level (including adaptive, burst=-1), and the mixed-protocol
-# (v1 + v2 + v3 frames) server tests.
+# byte-identity regression and the serializability property sweep at
+# every burst level (including adaptive, burst=-1).
 go test -race -count=1 -run 'TestBurstOneIsStepRegression|TestBurstPropertySerializable' ./internal/sim/
-go test -race -count=1 -run 'TestMixedProtocolClients|TestMixedProtocolAllVersions' ./internal/server/
 
-# Stream multiplexing's correctness surface: the v3 demux/drain unit
+# The frame decoder and the connection reader are the server's only
+# input from outside: bounded fuzz runs on top of the committed corpus.
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s ./internal/wire/
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/wire/
+
+# Stream multiplexing's correctness surface: the demux/drain unit
 # tests on both ends of the wire, then 10k concurrent streams over 4
 # sockets against a race-enabled server with an arithmetic
 # zero-lost-acks check.
